@@ -41,7 +41,7 @@ import (
 // schema of the running example and describing its relationships.
 func BenchmarkFigure1SchemaConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure1()
+		r, err := experiments.Figure1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func BenchmarkFigure1SchemaConstruction(b *testing.B) {
 // relational instance.
 func BenchmarkFigure2InstanceLoad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure2()
+		r, err := experiments.Figure2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkFigure2InstanceLoad(b *testing.B) {
 // combinations.
 func BenchmarkTable1Classification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1()
+		r, err := experiments.Table1(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func BenchmarkTable1Classification(b *testing.B) {
 // connections of the running queries and computing their RDB and ER lengths.
 func BenchmarkTable2Connections(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table2()
+		r, err := experiments.Table2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkTable2Connections(b *testing.B) {
 // per-join cardinalities and close/loose classification.
 func BenchmarkTable3Annotation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table3()
+		r, err := experiments.Table3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func BenchmarkTable3Annotation(b *testing.B) {
 // the MTJNT principle keeps and which it loses.
 func BenchmarkMTJNTLoss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.MTJNTLoss()
+		r, err := experiments.MTJNTLoss(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,11 +125,12 @@ func BenchmarkMTJNTLoss(b *testing.B) {
 // BenchmarkRankingStrategies ranks the "Smith XML" answers under every
 // strategy the experiments compare (E-RANK).
 func BenchmarkRankingStrategies(b *testing.B) {
-	engine, err := paths.New(paperdb.MustLoad(), paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
+	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
+	engine, err := paths.New(paperdb.MustLoad(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	answers, err := engine.Search(paperdb.QuerySmithXML)
+	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func BenchmarkScaleLossRate(b *testing.B) {
 	for _, scale := range []int{1, 2, 4} {
 		b.Run(benchName("scale", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				results, _, err := experiments.ScaleExperiment(experiments.ScaleOptions{
+				results, _, err := experiments.ScaleExperiment(context.Background(), experiments.ScaleOptions{
 					Scales: []int{scale}, Queries: 4, MaxEdges: 3, Seed: 42,
 				})
 				if err != nil {
@@ -180,15 +181,19 @@ func BenchmarkEnginesComparison(b *testing.B) {
 	idx := index.Build(db)
 	queries := workload.Queries(4, 42)
 
-	pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, paths.Options{MaxEdges: 3, RequireAllKeywords: true})
+	ctx := context.Background()
+	pathOpts := paths.Options{MaxEdges: 3, RequireAllKeywords: true}
+	pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, pathOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjnt.Options{MaxEdges: 3})
+	mtjntOpts := mtjnt.Options{MaxEdges: 3}
+	mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjntOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	banksEngine, err := banks.NewWithComponents(db, g, idx, banks.Options{MaxDepth: 3, MaxResults: 20})
+	banksOpts := banks.Options{MaxDepth: 3, MaxResults: 20}
+	banksEngine, err := banks.NewWithComponents(db, g, idx, banksOpts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -196,21 +201,21 @@ func BenchmarkEnginesComparison(b *testing.B) {
 	b.Run("paths", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				_, _ = pathEngine.Search(q.Keywords)
+				_, _ = pathEngine.SearchContext(ctx, q.Keywords, pathOpts)
 			}
 		}
 	})
 	b.Run("mtjnt", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				_, _ = mtjntEngine.Search(q.Keywords)
+				_, _ = mtjntEngine.SearchContext(ctx, q.Keywords, mtjntOpts)
 			}
 		}
 	})
 	b.Run("banks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				_, _ = banksEngine.Search(q.Keywords)
+				_, _ = banksEngine.SearchContext(ctx, q.Keywords, banksOpts)
 			}
 		}
 	})
@@ -220,11 +225,12 @@ func BenchmarkEnginesComparison(b *testing.B) {
 // design choice: analysing and ranking the paper's connections when middle
 // relations are collapsed (ER length) versus counted (RDB length).
 func BenchmarkAblationERLength(b *testing.B) {
-	engine, err := paths.New(paperdb.MustLoad(), paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
+	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
+	engine, err := paths.New(paperdb.MustLoad(), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	answers, err := engine.Search(paperdb.QuerySmithXML)
+	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,7 +255,7 @@ func BenchmarkAblationERLength(b *testing.B) {
 // example.
 func BenchmarkAblationLooseness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, _, err := experiments.Ablation()
+		results, _, err := experiments.Ablation(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +306,11 @@ func BenchmarkConnectionAnalysis(b *testing.B) {
 	var conns []core.Connection
 	for from := range idx.KeywordTuples("XML") {
 		for to := range idx.KeywordTuples("Smith") {
-			conns = append(conns, core.EnumerateConnections(g, from, to, 3)...)
+			found, err := core.EnumerateConnectionsContext(context.Background(), g, from, to, 3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			conns = append(conns, found...)
 		}
 	}
 	if len(conns) == 0 {

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 
@@ -35,14 +36,16 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*artifact, *scales, *scale, *queries, *maxJoins, *seed); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, *artifact, *scales, *scale, *queries, *maxJoins, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
 }
 
-func run(artifact, scales string, scale, queries, maxJoins int, seed int64) error {
-	single := map[string]func() (experiments.Report, error){
+func run(ctx context.Context, artifact, scales string, scale, queries, maxJoins int, seed int64) error {
+	single := map[string]func(context.Context) (experiments.Report, error){
 		"figure1": experiments.Figure1,
 		"figure2": experiments.Figure2,
 		"table1":  experiments.Table1,
@@ -53,7 +56,7 @@ func run(artifact, scales string, scale, queries, maxJoins int, seed int64) erro
 	}
 	switch artifact {
 	case "all":
-		reports, err := experiments.All()
+		reports, err := experiments.All(ctx)
 		if err != nil {
 			return err
 		}
@@ -62,7 +65,7 @@ func run(artifact, scales string, scale, queries, maxJoins int, seed int64) erro
 		}
 		return nil
 	case "ablation":
-		_, r, err := experiments.Ablation()
+		_, r, err := experiments.Ablation(ctx)
 		if err != nil {
 			return err
 		}
@@ -73,7 +76,7 @@ func run(artifact, scales string, scale, queries, maxJoins int, seed int64) erro
 		if err != nil {
 			return err
 		}
-		_, r, err := experiments.ScaleExperiment(experiments.ScaleOptions{
+		_, r, err := experiments.ScaleExperiment(ctx, experiments.ScaleOptions{
 			Scales: parsed, Queries: queries, MaxEdges: maxJoins, Seed: seed,
 		})
 		if err != nil {
@@ -82,22 +85,22 @@ func run(artifact, scales string, scale, queries, maxJoins int, seed int64) erro
 		fmt.Println(r.String())
 		return nil
 	case "engines":
-		_, r, err := experiments.EngineComparison(scale, queries, maxJoins, seed)
+		_, r, err := experiments.EngineComparison(ctx, scale, queries, maxJoins, seed)
 		if err != nil {
 			return err
 		}
 		fmt.Println(r.String())
 		return nil
 	case "search":
-		return searchArtifact(maxJoins)
+		return searchArtifact(ctx, maxJoins)
 	case "mutate":
-		return mutateArtifact(maxJoins)
+		return mutateArtifact(ctx, maxJoins)
 	default:
 		f, ok := single[artifact]
 		if !ok {
 			return fmt.Errorf("unknown artifact %q", artifact)
 		}
-		r, err := f()
+		r, err := f(ctx)
 		if err != nil {
 			return err
 		}
@@ -110,12 +113,11 @@ func run(artifact, scales string, scale, queries, maxJoins int, seed int64) erro
 // public kws API with every engine kind, printing the answers in the paper's
 // Table 2-3 notation. The paper labels (d1, p1, w_f1, ...) are not wired
 // into the library any more: they are passed explicitly as the labeler.
-func searchArtifact(maxJoins int) error {
+func searchArtifact(ctx context.Context, maxJoins int) error {
 	engine, err := kws.New(kws.PaperExample(), kws.WithLabeler(paperdb.DisplayLabel))
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	fmt.Println("== Running example through the public kws API: query {Smith XML} ==")
 	for _, kind := range kws.RegisteredEngines() {
 		results, err := engine.Search(ctx, kws.Query{
@@ -141,12 +143,11 @@ func searchArtifact(maxJoins int) error {
 // employee, moving her between departments, firing her — and reruns the
 // "Smith XML" query on every published generation, printing how the answer
 // set evolves while the graph and index are maintained incrementally.
-func mutateArtifact(maxJoins int) error {
+func mutateArtifact(ctx context.Context, maxJoins int) error {
 	engine, err := kws.New(kws.PaperExample(), kws.WithLabeler(paperdb.DisplayLabel))
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	show := func(header string, keywords ...string) error {
 		results, err := engine.Search(ctx, kws.Query{Keywords: keywords, MaxJoins: maxJoins})
 		if err != nil {

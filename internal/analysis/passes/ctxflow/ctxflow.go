@@ -8,8 +8,7 @@
 // Two rules, scoped to the library packages in ScopePrefixes:
 //
 //  1. context.Background() and context.TODO() are findings outside main
-//     packages and tests, unless the enclosing function is documented
-//     "Deprecated:" (the compatibility-shim convention).
+//     packages and tests.
 //  2. An exported function without a context.Context (or *http.Request)
 //     parameter that directly calls a context-taking function is a
 //     finding: it should accept and forward a caller context.
@@ -40,8 +39,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "check that contexts flow through blocking library entry points\n\n" +
 		"Reports context.Background()/TODO() in library packages and exported\n" +
 		"functions that call context-taking callees without accepting a\n" +
-		"context.Context themselves. Functions documented Deprecated: are\n" +
-		"exempt — they are compatibility shims by definition.",
+		"context.Context themselves.",
 	Run: run,
 }
 
@@ -52,7 +50,7 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || analysis.Deprecated(fd) {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			checkBackground(pass, fd)

@@ -21,11 +21,12 @@ func Do(n int) int { // want `exported Do calls DoContext, which takes a context
 	return DoContext(context.Background(), n) // want `Do manufactures a context in a library package`
 }
 
-// DoLegacy is the compatibility-shim convention: exempt.
+// DoLegacy is a compatibility shim. The marker below used to exempt it; the
+// rule has no escape hatch any more.
 //
 // Deprecated: use DoContext.
-func DoLegacy(n int) int {
-	return DoContext(context.Background(), n)
+func DoLegacy(n int) int { // want `exported DoLegacy calls DoContext, which takes a context.Context`
+	return DoContext(context.Background(), n) // want `DoLegacy manufactures a context in a library package`
 }
 
 // helper is unexported, so only the manufactured context is reported.

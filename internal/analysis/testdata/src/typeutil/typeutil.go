@@ -1,6 +1,6 @@
 // Package typeutil is a fixture for the shared go/types helpers: a named
-// type with a sync.Pool field, a context-taking method, a deprecated shim
-// and calls of several shapes.
+// type with a sync.Pool field, a context-taking method, a constructor and
+// calls of several shapes.
 package typeutil
 
 import (
@@ -13,8 +13,6 @@ type T struct {
 }
 
 // NewT builds a T.
-//
-// Deprecated: fixture shim, kept to exercise the Deprecated helper.
 func NewT() *T { return &T{} }
 
 func (t *T) Get(ctx context.Context) any {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Helpers shared by the analyzers in internal/analysis/passes. They resolve
@@ -95,21 +94,6 @@ func ReceiverTypeName(fn *types.Func) string {
 		return ""
 	}
 	return TypeName(sig.Recv().Type())
-}
-
-// Deprecated reports whether the function declaration carries a
-// "Deprecated:" marker in its doc comment, the standard Go convention for
-// compatibility shims.
-func Deprecated(fd *ast.FuncDecl) bool {
-	if fd == nil || fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.Contains(c.Text, "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }
 
 // FuncDeclName renders a declaration's name for messages: "Name" for

@@ -108,12 +108,6 @@ func TestObjectOfAndDeclHelpers(t *testing.T) {
 	pkg := loadTypeutil(t)
 	decls := funcDecls(pkg)
 
-	if !Deprecated(decls["NewT"]) {
-		t.Error("Deprecated missed NewT's marker")
-	}
-	if Deprecated(decls["Get"]) || Deprecated(nil) {
-		t.Error("Deprecated misfired")
-	}
 	if got := FuncDeclName(decls["Get"]); got != "T.Get" {
 		t.Errorf("FuncDeclName(Get) = %q, want T.Get", got)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/er"
 	"repro/internal/relation"
@@ -86,15 +87,6 @@ type Analysis struct {
 	CorroboratedAtInstance bool
 }
 
-// StepCardinalities returns the conceptual step cardinalities in order.
-func (a Analysis) StepCardinalities() []er.Cardinality {
-	out := make([]er.Cardinality, len(a.Steps))
-	for i, s := range a.Steps {
-		out[i] = s.Cardinality
-	}
-	return out
-}
-
 // FormatWithCardinalities renders the connection in the paper's Table 3
 // notation: tuple labels interleaved with the per-join cardinalities, e.g.
 // "d1(XML) 1:N p1(XML) 1:N w_f1 N:1 e1(Smith)".
@@ -105,7 +97,7 @@ func (a Analysis) FormatWithCardinalities(label func(relation.TupleID) string, m
 	render := func(id relation.TupleID) string {
 		s := label(id)
 		if kws := matched[id]; len(kws) > 0 {
-			s += "(" + joinComma(kws) + ")"
+			s += "(" + strings.Join(kws, ",") + ")"
 		}
 		return s
 	}
@@ -116,33 +108,18 @@ func (a Analysis) FormatWithCardinalities(label func(relation.TupleID) string, m
 	return out
 }
 
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
-}
-
 // Analyzer lifts connections to the ER level using the conceptual schema
 // derived from (or supplied for) the database.
 //
 // An Analyzer is immutable after construction and only reads the database,
-// schema and mapping, so all of its methods — including Analyze,
-// AnalyzeWithInstanceContext and AnalyzeAllContext — are safe for concurrent
-// use from any number of goroutines; the paths annotation pipeline relies on
-// this to analyse many answers at once.
+// schema and mapping, so all of its methods — including Analyze and
+// AnalyzeWithInstanceContext — are safe for concurrent use from any number of
+// goroutines; the paths annotation pipeline relies on this to analyse many
+// answers at once.
 type Analyzer struct {
 	db      *relation.Database
 	schema  *er.Schema
 	mapping *er.Mapping
-	// corroborationBudget bounds the search for close witnesses during
-	// instance-level corroboration, in joins. Zero means "the analysed
-	// connection's own RDB length".
-	corroborationBudget int
 	// countObserver, when non-nil, observes every relatedCount call; tests
 	// use it to pin the number of instance-count computations per hub.
 	countObserver func(hub relation.TupleID, relationship string)
@@ -150,13 +127,6 @@ type Analyzer struct {
 
 // Option configures an Analyzer.
 type Option func(*Analyzer)
-
-// WithCorroborationBudget sets a fixed bound (in joins) on the search for a
-// close witness during instance-level corroboration. The default bound is
-// the analysed connection's own length.
-func WithCorroborationBudget(joins int) Option {
-	return func(a *Analyzer) { a.corroborationBudget = joins }
-}
 
 // withCountObserver installs a hook observing every relatedCount call. It is
 // construction-time test instrumentation, so the analyzer stays immutable —
@@ -197,13 +167,6 @@ func (a *Analyzer) Schema() *er.Schema { return a.schema }
 
 // Mapping returns the ER/relational mapping the analyzer uses.
 func (a *Analyzer) Mapping() *er.Mapping { return a.mapping }
-
-// Database returns the analysed database.
-func (a *Analyzer) Database() *relation.Database { return a.db }
-
-// IsMiddleRelation reports whether the relation implements an N:M
-// relationship and therefore does not count towards conceptual length.
-func (a *Analyzer) IsMiddleRelation(name string) bool { return a.mapping.IsMiddleRelation(name) }
 
 // Analyze lifts a connection to the conceptual level and classifies it.
 // The connection must be non-empty (at least one tuple).

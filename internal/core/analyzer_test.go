@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -189,9 +190,9 @@ func TestAnalyzeInstanceCorroboration(t *testing.T) {
 		6: false, 9: false, // loose at both levels
 	}
 	for i, corroborated := range want {
-		an, err := f.analyzer.AnalyzeWithInstance(conns[i], f.graph)
+		an, err := f.analyzer.AnalyzeWithInstanceContext(context.Background(), conns[i], f.graph)
 		if err != nil {
-			t.Fatalf("AnalyzeWithInstance(%d): %v", i, err)
+			t.Fatalf("AnalyzeWithInstanceContext(%d): %v", i, err)
 		}
 		if an.CorroboratedAtInstance != corroborated {
 			t.Errorf("connection %d: corroborated = %v, want %v", i, an.CorroboratedAtInstance, corroborated)
@@ -266,9 +267,6 @@ func TestAnalyzeStepsAndRelationships(t *testing.T) {
 	if an.Steps[1].ViaJunction != wid("e1", "p1") {
 		t.Errorf("step 2 junction = %v", an.Steps[1].ViaJunction)
 	}
-	if got := len(an.StepCardinalities()); got != 2 {
-		t.Errorf("StepCardinalities = %d", got)
-	}
 	// Composite cardinality of connection 8 (functional 1:N chain) is 1:N.
 	an8, _ := f.analyzer.Analyze(conns[8])
 	if an8.Composite != er.OneToMany {
@@ -305,7 +303,7 @@ func TestAnalyzeERLengthEqualsRDBMinusJunctions(t *testing.T) {
 			if j == 0 || j == len(conns[i].Tuples)-1 {
 				continue
 			}
-			if f.analyzer.IsMiddleRelation(tup.Relation) {
+			if f.analyzer.Mapping().IsMiddleRelation(tup.Relation) {
 				junctions++
 			}
 		}
@@ -322,7 +320,7 @@ func TestAnalyzeSingleTupleConnectionIsClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := f.analyzer.AnalyzeWithInstance(c, f.graph)
+	an, err := f.analyzer.AnalyzeWithInstanceContext(context.Background(), c, f.graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,46 +351,27 @@ func TestAnalyzeErrors(t *testing.T) {
 
 func TestAnalyzerAccessorsAndOptions(t *testing.T) {
 	f := newFixture(t)
-	if f.analyzer.Database() == nil || f.analyzer.Schema() == nil || f.analyzer.Mapping() == nil {
+	if f.analyzer.Schema() == nil || f.analyzer.Mapping() == nil {
 		t.Error("analyzer accessors returned nil")
-	}
-	if !f.analyzer.IsMiddleRelation("WORKS_ON") || f.analyzer.IsMiddleRelation("EMPLOYEE") {
-		t.Error("IsMiddleRelation misbehaves")
-	}
-	// A tight corroboration budget of 1 join cannot find the p1-w_f1-e1
-	// witness for connection 3, so corroboration fails.
-	tight, err := Derive(f.db, WithCorroborationBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns := paperConnections(t, f.graph)
-	an, err := tight.AnalyzeWithInstance(conns[3], f.graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if an.CorroboratedAtInstance {
-		t.Error("budget of 1 join should not corroborate connection 3")
-	}
-	// Connection 4's endpoints are directly connected, so even the tight
-	// budget corroborates it.
-	an, _ = tight.AnalyzeWithInstance(conns[4], f.graph)
-	if !an.CorroboratedAtInstance {
-		t.Error("connection 4 should be corroborated with budget 1")
 	}
 }
 
+// TestAnalyzeAll analyses the paper's nine connections one after the other
+// with instance-level corroboration, and checks a malformed one is reported.
 func TestAnalyzeAll(t *testing.T) {
 	f := newFixture(t)
-	conns := paperConnections(t, f.graph)[1:]
-	all, err := f.analyzer.AnalyzeAll(conns, f.graph)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	for i, c := range paperConnections(t, f.graph)[1:] {
+		an, err := f.analyzer.AnalyzeWithInstanceContext(ctx, c, f.graph)
+		if err != nil {
+			t.Fatalf("connection %d: %v", i+1, err)
+		}
+		if an.Connection.Key() != c.Key() {
+			t.Errorf("connection %d: analysis carries %v", i+1, an.Connection)
+		}
 	}
-	if len(all) != 9 {
-		t.Fatalf("analyses = %d", len(all))
-	}
-	if _, err := f.analyzer.AnalyzeAll([]Connection{{}}, f.graph); err == nil {
-		t.Error("AnalyzeAll should propagate errors")
+	if _, err := f.analyzer.AnalyzeWithInstanceContext(ctx, Connection{}, f.graph); err == nil {
+		t.Error("analysing an empty connection should fail")
 	}
 }
 

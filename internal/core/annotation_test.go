@@ -86,29 +86,25 @@ func TestAnalyzerConcurrentInstanceAnalysis(t *testing.T) {
 	}
 }
 
-// TestAnalyzeAllContextCancellation is the regression test for the dropped
-// cancellation in AnalyzeAll: the batch used to run every instance
-// corroboration under a background context, so a cancelled caller silently
-// paid for the full walk. AnalyzeAllContext must abort with ctx.Err().
+// TestAnalyzeAllContextCancellation is the regression test for dropped
+// cancellation in instance corroboration: a cancelled caller must not pay for
+// the witness walk of any connection that needs one. Close connections never
+// walk, so they still analyse.
 func TestAnalyzeAllContextCancellation(t *testing.T) {
 	f := newFixture(t)
-	conns := paperConnections(t, f.graph)[1:]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.analyzer.AnalyzeAllContext(ctx, conns, f.graph); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeAllContext(cancelled) = %v, want context.Canceled", err)
-	}
-	// The background-context entry point still analyses the full batch and
-	// matches the cancellable variant under a live context.
-	all, err := f.analyzer.AnalyzeAll(conns, f.graph)
-	if err != nil {
-		t.Fatalf("AnalyzeAll: %v", err)
-	}
-	withCtx, err := f.analyzer.AnalyzeAllContext(context.Background(), conns, f.graph)
-	if err != nil {
-		t.Fatalf("AnalyzeAllContext: %v", err)
-	}
-	if !reflect.DeepEqual(all, withCtx) {
-		t.Error("AnalyzeAll and AnalyzeAllContext disagree under a live context")
+	for i, c := range paperConnections(t, f.graph)[1:] {
+		schema, err := f.analyzer.Analyze(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.analyzer.AnalyzeWithInstanceContext(ctx, c, f.graph)
+		if schema.Close && err != nil {
+			t.Errorf("connection %d is close and needs no walk, got %v", i+1, err)
+		}
+		if !schema.Close && !errors.Is(err, context.Canceled) {
+			t.Errorf("connection %d: cancelled corroboration = %v, want context.Canceled", i+1, err)
+		}
 	}
 }

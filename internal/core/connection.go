@@ -53,16 +53,6 @@ func (c Connection) End() relation.TupleID { return c.Tuples[len(c.Tuples)-1] }
 // of joins (edges) it contains.
 func (c Connection) RDBLength() int { return len(c.Edges) }
 
-// Contains reports whether the connection visits the tuple.
-func (c Connection) Contains(id relation.TupleID) bool {
-	for _, t := range c.Tuples {
-		if t == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Reverse returns the connection read from its end to its start.
 func (c Connection) Reverse() Connection {
 	n := len(c.Tuples)

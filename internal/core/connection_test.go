@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,8 +26,8 @@ func TestNewConnectionValidation(t *testing.T) {
 	if c.Start() != e1 || c.End() != d1 || c.RDBLength() != 1 {
 		t.Errorf("connection = %v", c)
 	}
-	if !c.Contains(e1) || c.Contains(id("EMPLOYEE", "e2")) {
-		t.Error("Contains misbehaves")
+	if len(c.Tuples) != 2 || c.Tuples[0] != e1 || c.Tuples[1] != d1 {
+		t.Errorf("tuples = %v, want [e1 d1]", c.Tuples)
 	}
 
 	// Edge not continuing the walk.
@@ -77,13 +78,23 @@ func TestConnectionFormat(t *testing.T) {
 	}
 }
 
+// enumerate is EnumerateConnectionsContext under a live context.
+func enumerate(t testing.TB, g *datagraph.Graph, from, to relation.TupleID, maxEdges int) []Connection {
+	t.Helper()
+	out, err := EnumerateConnectionsContext(context.Background(), g, from, to, maxEdges)
+	if err != nil {
+		t.Fatalf("EnumerateConnectionsContext(%v, %v): %v", from, to, err)
+	}
+	return out
+}
+
 func TestEnumerateConnectionsPaperPairs(t *testing.T) {
 	g := datagraph.Build(paperdb.MustLoad())
 	d1, e1 := id("DEPARTMENT", "d1"), id("EMPLOYEE", "e1")
 
 	// Between d1 and e1 with at most 3 joins the paper's connections 1 and
 	// 4 exist (and nothing else).
-	conns := EnumerateConnections(g, d1, e1, 3)
+	conns := enumerate(t, g, d1, e1, 3)
 	if len(conns) != 2 {
 		t.Fatalf("connections d1..e1 (<=3) = %d, want 2", len(conns))
 	}
@@ -93,7 +104,7 @@ func TestEnumerateConnectionsPaperPairs(t *testing.T) {
 
 	// Between p1 and e1 with at most 2 joins: connections 2 and 3.
 	p1 := id("PROJECT", "p1")
-	conns = EnumerateConnections(g, p1, e1, 2)
+	conns = enumerate(t, g, p1, e1, 2)
 	if len(conns) != 2 {
 		t.Fatalf("connections p1..e1 (<=2) = %d, want 2", len(conns))
 	}
@@ -104,7 +115,7 @@ func TestEnumerateConnectionsPaperPairs(t *testing.T) {
 	}
 
 	// Ordering is deterministic: shorter connections first.
-	conns = EnumerateConnections(g, d1, e1, 4)
+	conns = enumerate(t, g, d1, e1, 4)
 	for i := 1; i < len(conns); i++ {
 		if conns[i-1].RDBLength() > conns[i].RDBLength() {
 			t.Fatal("connections not ordered by length")
@@ -115,27 +126,27 @@ func TestEnumerateConnectionsPaperPairs(t *testing.T) {
 func TestEnumerateConnectionsEdgeCases(t *testing.T) {
 	g := datagraph.Build(paperdb.MustLoad())
 	e1 := id("EMPLOYEE", "e1")
-	if got := EnumerateConnections(g, e1, e1, 3); got != nil {
+	if got := enumerate(t, g, e1, e1, 3); got != nil {
 		t.Errorf("connections from a tuple to itself = %v", got)
 	}
-	if got := EnumerateConnections(g, e1, id("EMPLOYEE", "zz"), 3); got != nil {
+	if got := enumerate(t, g, e1, id("EMPLOYEE", "zz"), 3); got != nil {
 		t.Errorf("connections to an unknown tuple = %v", got)
 	}
-	if got := EnumerateConnections(g, e1, id("DEPARTMENT", "d1"), 0); got != nil {
+	if got := enumerate(t, g, e1, id("DEPARTMENT", "d1"), 0); got != nil {
 		t.Errorf("connections with zero budget = %v", got)
 	}
-	if got := EnumerateConnections(nil, e1, id("DEPARTMENT", "d1"), 2); got != nil {
+	if got := enumerate(t, nil, e1, id("DEPARTMENT", "d1"), 2); got != nil {
 		t.Errorf("connections on nil graph = %v", got)
 	}
 	// The isolated department d3 is connected to nothing.
-	if got := EnumerateConnections(g, id("DEPARTMENT", "d3"), e1, 5); len(got) != 0 {
+	if got := enumerate(t, g, id("DEPARTMENT", "d3"), e1, 5); len(got) != 0 {
 		t.Errorf("connections from isolated d3 = %d", len(got))
 	}
 }
 
 func TestEnumerateConnectionsAreSimplePaths(t *testing.T) {
 	g := datagraph.Build(paperdb.MustLoad())
-	conns := EnumerateConnections(g, id("DEPARTMENT", "d2"), id("DEPENDENT", "t1"), 6)
+	conns := enumerate(t, g, id("DEPARTMENT", "d2"), id("DEPENDENT", "t1"), 6)
 	if len(conns) == 0 {
 		t.Fatal("expected connections between d2 and t1")
 	}

@@ -60,7 +60,8 @@ type walkScratch struct {
 
 var walkPool = sync.Pool{New: func() any { return &walkScratch{} }}
 
-// WalkConnectionsIDs is WalkConnections in the interned space: it streams
+// WalkConnectionsIDs is the cancellable core behind connection enumeration
+// and instance-level corroboration, run in the interned space: it streams
 // every simple path between two dense node IDs with at most maxEdges joins,
 // invoking yield for each path as it is discovered (depth-first order, which
 // follows the string-space adjacency sort and is therefore independent of

@@ -9,50 +9,27 @@ import (
 	"repro/internal/relation"
 )
 
-// WalkConnections streams every simple path between two tuples of the data
-// graph with at most maxEdges joins, invoking yield for each connection as it
-// is discovered (depth-first order). The walk stops early when yield returns
-// false or when the context is cancelled; in the latter case ctx.Err() is
-// returned. This is the cancellable core behind connection enumeration and
-// instance-level corroboration. It is a string-space wrapper around
-// WalkConnectionsIDs, which runs on interned IDs and pooled scratch; callers
-// that do not need every path rendered should use the IDs form directly.
-func WalkConnections(ctx context.Context, g *datagraph.Graph, from, to relation.TupleID, maxEdges int, yield func(Connection) bool) error {
+// errStopWalk is the internal sentinel unwinding a walk stopped by yield.
+var errStopWalk = errors.New("core: walk stopped")
+
+// EnumerateConnectionsContext returns every simple path between two tuples
+// of the data graph with at most maxEdges joins, in deterministic order
+// (shorter first, then by canonical key). It returns ctx.Err() (and the
+// connections found so far) when the context is cancelled mid-walk. The
+// search engines walk dense paths directly (WalkConnectionsIDs); this
+// rendered form is the reference their answers are checked against.
+func EnumerateConnectionsContext(ctx context.Context, g *datagraph.Graph, from, to relation.TupleID, maxEdges int) ([]Connection, error) {
 	if g == nil {
-		return nil
+		return nil, nil
 	}
 	f, okF := g.Tuples().Lookup(from)
 	t, okT := g.Tuples().Lookup(to)
 	if !okF || !okT {
-		return nil
+		return nil, nil
 	}
-	return WalkConnectionsIDs(ctx, g, f, t, maxEdges, func(p DensePath) bool {
-		return yield(p.Connection(g))
-	})
-}
-
-// errStopWalk is the internal sentinel unwinding a walk stopped by yield.
-var errStopWalk = errors.New("core: walk stopped")
-
-// EnumerateConnections returns every simple path between two tuples of the
-// data graph with at most maxEdges joins, in deterministic order (shorter
-// first, then by canonical key). It is the basic machinery behind both the
-// paper-style connection enumeration and instance-level corroboration.
-//
-// Deprecated: use EnumerateConnectionsContext, which is cancellable; this
-// shim runs under context.Background().
-func EnumerateConnections(g *datagraph.Graph, from, to relation.TupleID, maxEdges int) []Connection {
-	out, _ := EnumerateConnectionsContext(context.Background(), g, from, to, maxEdges)
-	return out
-}
-
-// EnumerateConnectionsContext is EnumerateConnections with cancellation: it
-// returns ctx.Err() (and the connections found so far) when the context is
-// cancelled mid-walk.
-func EnumerateConnectionsContext(ctx context.Context, g *datagraph.Graph, from, to relation.TupleID, maxEdges int) ([]Connection, error) {
 	var out []Connection
-	err := WalkConnections(ctx, g, from, to, maxEdges, func(c Connection) bool {
-		out = append(out, c)
+	err := WalkConnectionsIDs(ctx, g, f, t, maxEdges, func(p DensePath) bool {
+		out = append(out, p.Connection(g))
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -64,24 +41,15 @@ func EnumerateConnectionsContext(ctx context.Context, g *datagraph.Graph, from, 
 	return out, err
 }
 
-// AnalyzeWithInstance analyses the connection like Analyze and additionally
-// performs instance-level corroboration on the data graph: a connection that
-// only allows a loose association at the schema level is corroborated when a
-// guaranteed-close connection between the same two end tuples exists with at
-// most the same number of joins (or the analyzer's corroboration budget,
-// when set). This reproduces the paper's observation that connections 3, 4
-// and 7 are close at the instance level while connection 6 is not.
-//
-// Deprecated: use AnalyzeWithInstanceContext, which is cancellable; this
-// shim runs under context.Background().
-func (a *Analyzer) AnalyzeWithInstance(c Connection, g *datagraph.Graph) (Analysis, error) {
-	return a.AnalyzeWithInstanceContext(context.Background(), c, g)
-}
-
-// AnalyzeWithInstanceContext is AnalyzeWithInstance with cancellation: the
-// search for a close witness stops — and ctx.Err() is returned — as soon as
-// the context is cancelled. The witness walk also stops at the first close
-// witness instead of materialising every candidate connection.
+// AnalyzeWithInstanceContext analyses the connection like Analyze and
+// additionally performs instance-level corroboration on the data graph: a
+// connection that only allows a loose association at the schema level is
+// corroborated when a guaranteed-close connection between the same two end
+// tuples exists with at most the same number of joins. This reproduces the
+// paper's observation that connections 3, 4 and 7 are close at the instance
+// level while connection 6 is not. The search for a close witness stops at
+// the first one found, and returns ctx.Err() as soon as the context is
+// cancelled.
 func (a *Analyzer) AnalyzeWithInstanceContext(ctx context.Context, c Connection, g *datagraph.Graph) (Analysis, error) {
 	an, err := a.Analyze(c)
 	if err != nil {
@@ -90,12 +58,15 @@ func (a *Analyzer) AnalyzeWithInstanceContext(ctx context.Context, c Connection,
 	if an.Close || g == nil {
 		return an, nil
 	}
-	budget := a.corroborationBudget
-	if budget <= 0 {
-		budget = an.RDBLength
+	from, okF := g.Tuples().Lookup(c.Start())
+	to, okT := g.Tuples().Lookup(c.End())
+	if !okF || !okT {
+		return an, nil
 	}
-	walkErr := WalkConnections(ctx, g, c.Start(), c.End(), budget, func(witness Connection) bool {
-		if witness.Key() == c.Key() {
+	key := c.Key()
+	walkErr := WalkConnectionsIDs(ctx, g, from, to, an.RDBLength, func(p DensePath) bool {
+		witness := p.Connection(g)
+		if witness.Key() == key {
 			return true
 		}
 		wa, err := a.Analyze(witness)
@@ -112,28 +83,4 @@ func (a *Analyzer) AnalyzeWithInstanceContext(ctx context.Context, c Connection,
 		return Analysis{}, walkErr
 	}
 	return an, nil
-}
-
-// AnalyzeAll analyses a batch of connections with instance-level
-// corroboration, preserving order, under a background context.
-//
-// Deprecated: use AnalyzeAllContext, which is cancellable; this shim runs
-// under context.Background().
-func (a *Analyzer) AnalyzeAll(cs []Connection, g *datagraph.Graph) ([]Analysis, error) {
-	return a.AnalyzeAllContext(context.Background(), cs, g)
-}
-
-// AnalyzeAllContext is AnalyzeAll with cancellation: the batch aborts with
-// ctx.Err() as soon as the context is cancelled, instead of silently running
-// every remaining corroboration walk to completion.
-func (a *Analyzer) AnalyzeAllContext(ctx context.Context, cs []Connection, g *datagraph.Graph) ([]Analysis, error) {
-	out := make([]Analysis, 0, len(cs))
-	for _, c := range cs {
-		an, err := a.AnalyzeWithInstanceContext(ctx, c, g)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, an)
-	}
-	return out, nil
 }

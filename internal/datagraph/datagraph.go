@@ -55,7 +55,6 @@ type DenseEdge struct {
 // Graph is the tuple graph. It is immutable after Build; ApplyDelta derives
 // new generations copy-on-write.
 type Graph struct {
-	db     *relation.Database
 	tuples *symtab.Tuples
 	fks    *symtab.Strings
 	// adj is indexed by dense tuple ID; each slice is sorted by the
@@ -95,7 +94,7 @@ func BuildParallel(db *relation.Database, workers int) *Graph {
 // regardless of the worker count. Workers only read the tuple table.
 func BuildParallelWith(db *relation.Database, tuples *symtab.Tuples, workers int) *Graph {
 	tables := db.Tables()
-	g := &Graph{db: db, tuples: tuples, fks: symtab.NewStrings()}
+	g := &Graph{tuples: tuples, fks: symtab.NewStrings()}
 
 	// Intern every foreign-key label up front, so the parallel workers only
 	// read the symbol tables.
@@ -180,9 +179,6 @@ func (g *Graph) sortAdjacency(edges []DenseEdge) {
 	})
 }
 
-// Database returns the database the graph was built from.
-func (g *Graph) Database() *relation.Database { return g.db }
-
 // Tuples returns the graph's interned tuple-ID table: the dense space every
 // ID-suffixed method speaks, shared (by construction) with the inverted
 // index of the same generation.
@@ -242,139 +238,8 @@ func (g *Graph) Neighbors(id relation.TupleID) []Edge {
 		return nil
 	}
 	out := make([]Edge, len(adj))
-	from := g.tuples.ID(dense)
 	for i, de := range adj {
-		out[i] = Edge{From: from, To: g.tuples.ID(de.To), ForeignKey: g.fks.String(de.FK)}
+		out[i] = g.EdgeOf(dense, de)
 	}
 	return out
-}
-
-// Degree returns the number of edges incident to the tuple.
-func (g *Graph) Degree(id relation.TupleID) int {
-	dense, ok := g.tuples.Lookup(id)
-	if !ok {
-		return 0
-	}
-	return len(g.adj[dense])
-}
-
-// Nodes returns every tuple id, sorted, for deterministic iteration.
-func (g *Graph) Nodes() []relation.TupleID {
-	out := make([]relation.TupleID, 0, g.nodeCount)
-	for dense, ok := range g.present {
-		if ok {
-			out = append(out, g.tuples.ID(uint32(dense)))
-		}
-	}
-	relation.SortTupleIDs(out)
-	return out
-}
-
-// Tuple resolves a node to its tuple.
-func (g *Graph) Tuple(id relation.TupleID) (*relation.Tuple, bool) {
-	return g.db.Tuple(id)
-}
-
-// BFS traverses the graph breadth-first from the start node and returns the
-// hop distance of every reachable node.
-func (g *Graph) BFS(start relation.TupleID) map[relation.TupleID]int {
-	s, ok := g.tuples.Lookup(start)
-	if !ok || !g.HasID(s) {
-		return map[relation.TupleID]int{}
-	}
-	dist := map[relation.TupleID]int{start: 0}
-	dense := map[uint32]int{s: 0}
-	queue := []uint32{s}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[cur] {
-			if _, seen := dense[e.To]; !seen {
-				d := dense[cur] + 1
-				dense[e.To] = d
-				dist[g.tuples.ID(e.To)] = d
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return dist
-}
-
-// ShortestPath returns one shortest path (as the sequence of traversed
-// edges) between two tuples, or false when they are not connected. Ties are
-// broken deterministically by the sorted adjacency order.
-func (g *Graph) ShortestPath(from, to relation.TupleID) ([]Edge, bool) {
-	f, okF := g.tuples.Lookup(from)
-	t, okT := g.tuples.Lookup(to)
-	if !okF || !okT || !g.HasID(f) || !g.HasID(t) {
-		return nil, false
-	}
-	if f == t {
-		return nil, true
-	}
-	// prev[node] is the adjacency entry that discovered it, paired with the
-	// discovering node so the edge can be rendered later.
-	type hop struct {
-		from uint32
-		de   DenseEdge
-	}
-	prev := make(map[uint32]hop)
-	seen := map[uint32]bool{f: true}
-	queue := []uint32{f}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[cur] {
-			if seen[e.To] {
-				continue
-			}
-			seen[e.To] = true
-			prev[e.To] = hop{from: cur, de: e}
-			if e.To == t {
-				var rev []Edge
-				for cur := t; cur != f; {
-					h := prev[cur]
-					rev = append(rev, g.EdgeOf(h.from, h.de))
-					cur = h.from
-				}
-				out := make([]Edge, len(rev))
-				for i := range rev {
-					out[i] = rev[len(rev)-1-i]
-				}
-				return out, true
-			}
-			queue = append(queue, e.To)
-		}
-	}
-	return nil, false
-}
-
-// ConnectedComponents returns the node sets of the connected components,
-// each sorted, ordered by their smallest member.
-func (g *Graph) ConnectedComponents() [][]relation.TupleID {
-	var seen symtab.Bitset
-	seen.Grow(len(g.adj))
-	var comps [][]relation.TupleID
-	for _, id := range g.Nodes() {
-		dense, _ := g.tuples.Lookup(id)
-		if !seen.Add(dense) {
-			continue
-		}
-		var comp []relation.TupleID
-		queue := []uint32{dense}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			comp = append(comp, g.tuples.ID(cur))
-			for _, e := range g.adj[cur] {
-				if seen.Add(e.To) {
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		relation.SortTupleIDs(comp)
-		comps = append(comps, comp)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0].Less(comps[j][0]) })
-	return comps
 }

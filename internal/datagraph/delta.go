@@ -24,7 +24,6 @@ import (
 // two lineages legitimately differ).
 func (g *Graph) ApplyDelta(db *relation.Database, removed, added []*relation.Tuple) *Graph {
 	ng := &Graph{
-		db:        db,
 		tuples:    g.tuples.Extend(),
 		fks:       g.fks.Extend(),
 		nodeCount: g.nodeCount,

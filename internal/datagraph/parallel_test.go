@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/paperdb"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -13,36 +14,23 @@ import (
 // nodes, same counts, and byte-identical sorted adjacency per node.
 func TestBuildParallelDeterminism(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		seq  *Graph
-		pars []*Graph
+		name    string
+		db      *relation.Database
+		workers []int
 	}{
-		{
-			name: "paper",
-			seq:  BuildParallel(paperdb.MustLoad(), 1),
-			pars: []*Graph{BuildParallel(paperdb.MustLoad(), 4), Build(paperdb.MustLoad())},
-		},
-		{
-			name: "workload",
-			seq:  BuildParallel(workload.MustGenerate(workload.ScaledConfig(2, 42)), 1),
-			pars: []*Graph{BuildParallel(workload.MustGenerate(workload.ScaledConfig(2, 42)), 8)},
-		},
+		{name: "paper", db: paperdb.MustLoad(), workers: []int{4, 0}},
+		{name: "workload", db: workload.MustGenerate(workload.ScaledConfig(2, 42)), workers: []int{8}},
 	} {
-		for i, par := range tc.pars {
-			if got, want := par.NodeCount(), tc.seq.NodeCount(); got != want {
-				t.Fatalf("%s[%d]: NodeCount = %d, want %d", tc.name, i, got, want)
+		wantAdj, wantEdges := dump(t, BuildParallel(tc.db, 1), tc.db)
+		for _, workers := range tc.workers {
+			gotAdj, gotEdges := dump(t, BuildParallel(tc.db, workers), tc.db)
+			if gotEdges != wantEdges {
+				t.Fatalf("%s workers=%d: EdgeCount = %d, want %d", tc.name, workers, gotEdges, wantEdges)
 			}
-			if got, want := par.EdgeCount(), tc.seq.EdgeCount(); got != want {
-				t.Fatalf("%s[%d]: EdgeCount = %d, want %d", tc.name, i, got, want)
-			}
-			nodes := tc.seq.Nodes()
-			if !reflect.DeepEqual(par.Nodes(), nodes) {
-				t.Fatalf("%s[%d]: node sets differ", tc.name, i)
-			}
-			for _, id := range nodes {
-				if !reflect.DeepEqual(par.Neighbors(id), tc.seq.Neighbors(id)) {
-					t.Fatalf("%s[%d]: adjacency of %s differs:\nparallel:   %v\nsequential: %v",
-						tc.name, i, id, par.Neighbors(id), tc.seq.Neighbors(id))
+			for id, want := range wantAdj {
+				if !reflect.DeepEqual(gotAdj[id], want) {
+					t.Fatalf("%s workers=%d: adjacency of %s differs:\nparallel:   %v\nsequential: %v",
+						tc.name, workers, id, gotAdj[id], want)
 				}
 			}
 		}

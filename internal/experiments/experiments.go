@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,7 +46,7 @@ func (r Report) String() string {
 
 // Figure1 reproduces Figure 1: the ER schema of the running example, listed
 // as entity types and relationships with their cardinality constraints.
-func Figure1() (Report, error) {
+func Figure1(context.Context) (Report, error) {
 	schema := paperdb.ERSchema()
 	r := Report{ID: "figure1", Title: "ER schema of the running example (Figure 1)"}
 	r.Lines = append(r.Lines, "entity types:")
@@ -61,7 +62,7 @@ func Figure1() (Report, error) {
 
 // Figure2 reproduces Figure 2: the relational schema and the database
 // instance of the running example.
-func Figure2() (Report, error) {
+func Figure2(context.Context) (Report, error) {
 	db, err := paperdb.Load()
 	if err != nil {
 		return Report{}, err
@@ -83,7 +84,7 @@ func Figure2() (Report, error) {
 // their cardinality constraints and the close/loose classification the paper
 // derives from them. All conceptual paths of at most three relationships are
 // listed; the six rows of the paper's table are among them.
-func Table1() (Report, error) {
+func Table1(context.Context) (Report, error) {
 	schema, mapping, err := paperdb.Conceptual()
 	if err != nil {
 		return Report{}, err
@@ -124,9 +125,21 @@ type connectionRow struct {
 	withCards string
 }
 
+// paperAnswers runs a keyword query through the connection-enumeration
+// engine with AND semantics and instance corroboration, within maxEdges joins
+// — the one configuration every paper artifact reads its connections from.
+func paperAnswers(ctx context.Context, db *relation.Database, keywords []string, maxEdges int) ([]paths.Answer, error) {
+	opts := paths.Options{MaxEdges: maxEdges, RequireAllKeywords: true, InstanceCorroboration: true}
+	engine, err := paths.New(db, opts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.SearchContext(ctx, keywords, opts)
+}
+
 // paperRows computes the connections of Tables 2 and 3: the "Smith XML"
 // query within 3 joins plus the "Alice XML" query within 4 joins.
-func paperRows() ([]connectionRow, error) {
+func paperRows(ctx context.Context) ([]connectionRow, error) {
 	db, err := paperdb.Load()
 	if err != nil {
 		return nil, err
@@ -140,11 +153,7 @@ func paperRows() ([]connectionRow, error) {
 		{paperdb.QueryAliceXML, 4},
 	}
 	for _, spec := range specs {
-		engine, err := paths.New(db, paths.Options{MaxEdges: spec.maxEdges, RequireAllKeywords: true, InstanceCorroboration: true})
-		if err != nil {
-			return nil, err
-		}
-		answers, err := engine.Search(spec.query)
+		answers, err := paperAnswers(ctx, db, spec.query, spec.maxEdges)
 		if err != nil {
 			return nil, err
 		}
@@ -162,8 +171,8 @@ func paperRows() ([]connectionRow, error) {
 
 // Table2 reproduces Table 2: the connections answering the running queries
 // with their lengths in the RDB and at the ER level.
-func Table2() (Report, error) {
-	rows, err := paperRows()
+func Table2(ctx context.Context) (Report, error) {
+	rows, err := paperRows(ctx)
 	if err != nil {
 		return Report{}, err
 	}
@@ -179,8 +188,8 @@ func Table2() (Report, error) {
 // Table3 reproduces Table 3: the same connections annotated with the
 // cardinality of every step, plus the close/loose classification that the
 // paper derives in the surrounding text.
-func Table3() (Report, error) {
-	rows, err := paperRows()
+func Table3(ctx context.Context) (Report, error) {
+	rows, err := paperRows(ctx)
 	if err != nil {
 		return Report{}, err
 	}
@@ -197,24 +206,21 @@ func Table3() (Report, error) {
 // MTJNTLoss reproduces the paper's Section 3 observation: running the same
 // query under the MTJNT principle loses the longer connections (3, 4, 6 and
 // 7 of Table 2) even though they preserve close associations.
-func MTJNTLoss() (Report, error) {
+func MTJNTLoss(ctx context.Context) (Report, error) {
 	db, err := paperdb.Load()
 	if err != nil {
 		return Report{}, err
 	}
-	pathEngine, err := paths.New(db, paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
+	mtjntOpts := mtjnt.Options{MaxEdges: 3}
+	mtjntEngine, err := mtjnt.New(db, mtjntOpts)
 	if err != nil {
 		return Report{}, err
 	}
-	mtjntEngine, err := mtjnt.New(db, mtjnt.Options{MaxEdges: 3})
+	all, err := paperAnswers(ctx, db, paperdb.QuerySmithXML, 3)
 	if err != nil {
 		return Report{}, err
 	}
-	all, err := pathEngine.Search(paperdb.QuerySmithXML)
-	if err != nil {
-		return Report{}, err
-	}
-	minimal, err := mtjntEngine.Search(paperdb.QuerySmithXML)
+	minimal, err := mtjntEngine.SearchContext(ctx, paperdb.QuerySmithXML, mtjntOpts)
 	if err != nil {
 		return Report{}, err
 	}
@@ -240,16 +246,12 @@ func MTJNTLoss() (Report, error) {
 // RankingComparison reproduces the ranking discussion of Section 3: the rank
 // of every "Smith XML" connection under RDB length, ER length and the
 // closeness-aware strategies.
-func RankingComparison() (Report, error) {
+func RankingComparison(ctx context.Context) (Report, error) {
 	db, err := paperdb.Load()
 	if err != nil {
 		return Report{}, err
 	}
-	engine, err := paths.New(db, paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
-	if err != nil {
-		return Report{}, err
-	}
-	answers, err := engine.Search(paperdb.QuerySmithXML)
+	answers, err := paperAnswers(ctx, db, paperdb.QuerySmithXML, 3)
 	if err != nil {
 		return Report{}, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func joined(r Report) string { return strings.Join(r.Lines, "\n") }
 
 func TestFigure1Report(t *testing.T) {
-	r, err := Figure1()
+	r, err := Figure1(context.Background())
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
@@ -30,7 +31,7 @@ func TestFigure1Report(t *testing.T) {
 }
 
 func TestFigure2Report(t *testing.T) {
-	r, err := Figure2()
+	r, err := Figure2(context.Background())
 	if err != nil {
 		t.Fatalf("Figure2: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestFigure2Report(t *testing.T) {
 }
 
 func TestTable1Report(t *testing.T) {
-	r, err := Table1()
+	r, err := Table1(context.Background())
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -78,7 +79,7 @@ func TestTable1Report(t *testing.T) {
 }
 
 func TestTable2Report(t *testing.T) {
-	r, err := Table2()
+	r, err := Table2(context.Background())
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestTable2Report(t *testing.T) {
 }
 
 func TestTable3Report(t *testing.T) {
-	r, err := Table3()
+	r, err := Table3(context.Background())
 	if err != nil {
 		t.Fatalf("Table3: %v", err)
 	}
@@ -130,7 +131,7 @@ func TestTable3Report(t *testing.T) {
 }
 
 func TestMTJNTLossReport(t *testing.T) {
-	r, err := MTJNTLoss()
+	r, err := MTJNTLoss(context.Background())
 	if err != nil {
 		t.Fatalf("MTJNTLoss: %v", err)
 	}
@@ -156,7 +157,7 @@ func TestMTJNTLossReport(t *testing.T) {
 }
 
 func TestRankingComparisonReport(t *testing.T) {
-	r, err := RankingComparison()
+	r, err := RankingComparison(context.Background())
 	if err != nil {
 		t.Fatalf("RankingComparison: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestRankingComparisonReport(t *testing.T) {
 }
 
 func TestAblationReport(t *testing.T) {
-	results, r, err := Ablation()
+	results, r, err := Ablation(context.Background())
 	if err != nil {
 		t.Fatalf("Ablation: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestAblationReport(t *testing.T) {
 
 func TestScaleExperimentSmall(t *testing.T) {
 	opts := ScaleOptions{Scales: []int{1, 2}, Queries: 4, MaxEdges: 3, Seed: 7}
-	results, r, err := ScaleExperiment(opts)
+	results, r, err := ScaleExperiment(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("ScaleExperiment: %v", err)
 	}
@@ -240,13 +241,13 @@ func TestScaleExperimentSmall(t *testing.T) {
 		t.Errorf("report rows = %d", len(r.Lines))
 	}
 	// Defaults kick in for an empty option set.
-	if _, _, err := ScaleExperiment(ScaleOptions{}); err != nil {
+	if _, _, err := ScaleExperiment(context.Background(), ScaleOptions{}); err != nil {
 		t.Errorf("default ScaleExperiment failed: %v", err)
 	}
 }
 
 func TestEngineComparisonSmall(t *testing.T) {
-	results, r, err := EngineComparison(1, 4, 3, 11)
+	results, r, err := EngineComparison(context.Background(), 1, 4, 3, 11)
 	if err != nil {
 		t.Fatalf("EngineComparison: %v", err)
 	}
@@ -271,7 +272,7 @@ func TestEngineComparisonSmall(t *testing.T) {
 }
 
 func TestAllReports(t *testing.T) {
-	reports, err := All()
+	reports, err := All(context.Background())
 	if err != nil {
 		t.Fatalf("All: %v", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -26,22 +27,26 @@ func TestEngineInvariantsOnSyntheticDatabases(t *testing.T) {
 		}
 		g := datagraph.Build(db)
 		idx := index.Build(db)
-		pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
+		ctx := context.Background()
+		pathOpts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
+		pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, pathOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjnt.Options{MaxEdges: 3})
+		mtjntOpts := mtjnt.Options{MaxEdges: 3}
+		mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjntOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		banksEngine, err := banks.NewWithComponents(db, g, idx, banks.Options{MaxDepth: 3, MaxResults: 10})
+		banksOpts := banks.Options{MaxDepth: 3, MaxResults: 10}
+		banksEngine, err := banks.NewWithComponents(db, g, idx, banksOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		ran := 0
 		for _, q := range workload.Queries(6, 100+int64(scale)) {
-			answers, err := pathEngine.Search(q.Keywords)
+			answers, err := pathEngine.SearchContext(ctx, q.Keywords, pathOpts)
 			if err != nil {
 				continue // keyword absent at this scale
 			}
@@ -77,7 +82,7 @@ func TestEngineInvariantsOnSyntheticDatabases(t *testing.T) {
 				}
 			}
 
-			minimal, err := mtjntEngine.Search(q.Keywords)
+			minimal, err := mtjntEngine.SearchContext(ctx, q.Keywords, mtjntOpts)
 			if err != nil {
 				t.Errorf("scale %d: MTJNT failed where paths succeeded: %v", scale, err)
 				continue
@@ -88,7 +93,7 @@ func TestEngineInvariantsOnSyntheticDatabases(t *testing.T) {
 				}
 			}
 
-			trees, err := banksEngine.Search(q.Keywords)
+			trees, err := banksEngine.SearchContext(ctx, q.Keywords, banksOpts)
 			if err != nil {
 				t.Errorf("scale %d: BANKS failed where paths succeeded: %v", scale, err)
 				continue
@@ -122,7 +127,11 @@ func TestAnalyzerAgreesWithSchemaClassification(t *testing.T) {
 	topicLike := idx.KeywordTuples("databases")
 	for from := range smithLike {
 		for to := range topicLike {
-			for _, c := range core.EnumerateConnections(g, from, to, 3) {
+			conns, err := core.EnumerateConnectionsContext(context.Background(), g, from, to, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range conns {
 				an, err := analyzer.Analyze(c)
 				if err != nil {
 					t.Fatal(err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -63,7 +64,7 @@ func (r ScaleResult) LossRate() float64 {
 // MTJNT principle loses, and how the close/loose split evolves. This turns
 // the paper's qualitative claim ("MTJNT loses semantic connections or
 // fragments the results") into a measurable loss rate.
-func ScaleExperiment(opts ScaleOptions) ([]ScaleResult, Report, error) {
+func ScaleExperiment(ctx context.Context, opts ScaleOptions) ([]ScaleResult, Report, error) {
 	if len(opts.Scales) == 0 {
 		opts = DefaultScaleOptions()
 	}
@@ -77,30 +78,32 @@ func ScaleExperiment(opts ScaleOptions) ([]ScaleResult, Report, error) {
 		if err != nil {
 			return nil, Report{}, err
 		}
-		pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, paths.Options{
-			MaxEdges: opts.MaxEdges, RequireAllKeywords: true, InstanceCorroboration: true,
-		})
+		pathOpts := paths.Options{MaxEdges: opts.MaxEdges, RequireAllKeywords: true, InstanceCorroboration: true}
+		pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, pathOpts)
 		if err != nil {
 			return nil, Report{}, err
 		}
-		mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjnt.Options{MaxEdges: opts.MaxEdges})
+		mtjntOpts := mtjnt.Options{MaxEdges: opts.MaxEdges}
+		mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjntOpts)
 		if err != nil {
 			return nil, Report{}, err
 		}
 		res := ScaleResult{Scale: scale, Tuples: db.TupleCount()}
 		for _, q := range workload.Queries(opts.Queries, opts.Seed+int64(scale)) {
 			start := time.Now()
-			answers, err := pathEngine.Search(q.Keywords)
+			answers, err := pathEngine.SearchContext(ctx, q.Keywords, pathOpts)
 			res.PathElapsed += time.Since(start)
+			var minimal []mtjnt.Network
+			if err == nil {
+				start = time.Now()
+				minimal, err = mtjntEngine.SearchContext(ctx, q.Keywords, mtjntOpts)
+				res.MTJNTElapsed += time.Since(start)
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, Report{}, cerr
+			}
 			if err != nil {
 				// A keyword may not occur at this scale; skip the query.
-				res.QueriesSkipped++
-				continue
-			}
-			start = time.Now()
-			minimal, merr := mtjntEngine.Search(q.Keywords)
-			res.MTJNTElapsed += time.Since(start)
-			if merr != nil {
 				res.QueriesSkipped++
 				continue
 			}
@@ -150,23 +153,24 @@ type EngineResult struct {
 // BANKS backward expansion) over the same generated workload and reports
 // answer counts and total latency. It quantifies the cost of returning the
 // richer answer sets the paper advocates.
-func EngineComparison(scale, queries int, maxEdges int, seed int64) ([]EngineResult, Report, error) {
+func EngineComparison(ctx context.Context, scale, queries int, maxEdges int, seed int64) ([]EngineResult, Report, error) {
 	db := workload.MustGenerate(workload.ScaledConfig(scale, seed))
 	g, idx, analyzer, err := buildComponents(db)
 	if err != nil {
 		return nil, Report{}, err
 	}
-	pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, paths.Options{
-		MaxEdges: maxEdges, RequireAllKeywords: true, InstanceCorroboration: false,
-	})
+	pathOpts := paths.Options{MaxEdges: maxEdges, RequireAllKeywords: true, InstanceCorroboration: false}
+	pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, pathOpts)
 	if err != nil {
 		return nil, Report{}, err
 	}
-	mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjnt.Options{MaxEdges: maxEdges})
+	mtjntOpts := mtjnt.Options{MaxEdges: maxEdges}
+	mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjntOpts)
 	if err != nil {
 		return nil, Report{}, err
 	}
-	banksEngine, err := banks.NewWithComponents(db, g, idx, banks.Options{MaxDepth: maxEdges, MaxResults: 20})
+	banksOpts := banks.Options{MaxDepth: maxEdges, MaxResults: 20}
+	banksEngine, err := banks.NewWithComponents(db, g, idx, banksOpts)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -186,17 +190,22 @@ func EngineComparison(scale, queries int, maxEdges int, seed int64) ([]EngineRes
 		}
 	}
 	run(0, func(kw []string) (int, error) {
-		a, err := pathEngine.Search(kw)
+		a, err := pathEngine.SearchContext(ctx, kw, pathOpts)
 		return len(a), err
 	})
 	run(1, func(kw []string) (int, error) {
-		a, err := mtjntEngine.Search(kw)
+		a, err := mtjntEngine.SearchContext(ctx, kw, mtjntOpts)
 		return len(a), err
 	})
 	run(2, func(kw []string) (int, error) {
-		a, err := banksEngine.Search(kw)
+		a, err := banksEngine.SearchContext(ctx, kw, banksOpts)
 		return len(a), err
 	})
+	// A cancelled run fails every remaining query fast and would read as a
+	// table of skips; report it as what it is.
+	if err := ctx.Err(); err != nil {
+		return nil, Report{}, err
+	}
 
 	r := Report{ID: "engines", Title: fmt.Sprintf("Engine comparison (scale %d, %d queries, budget %d joins)", scale, queries, maxEdges)}
 	r.Lines = append(r.Lines, fmt.Sprintf("%-8s %-9s %-9s %-9s %s", "engine", "queries", "skipped", "answers", "elapsed"))
@@ -224,16 +233,12 @@ type AblationResult struct {
 // and adding the looseness penalty. It shows which design choices move the
 // close-association-preserving connections 2, 4 and 7 up and the loose
 // connection 6 down.
-func Ablation() ([]AblationResult, Report, error) {
+func Ablation(ctx context.Context) ([]AblationResult, Report, error) {
 	db, err := paperdb.Load()
 	if err != nil {
 		return nil, Report{}, err
 	}
-	engine, err := paths.New(db, paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
-	if err != nil {
-		return nil, Report{}, err
-	}
-	answers, err := engine.Search(paperdb.QuerySmithXML)
+	answers, err := paperAnswers(ctx, db, paperdb.QuerySmithXML, 3)
 	if err != nil {
 		return nil, Report{}, err
 	}
@@ -290,16 +295,16 @@ func reverseDashes(s string) string {
 
 // All runs every paper-artifact experiment (not the scaled sweeps) and
 // returns the reports in presentation order.
-func All() ([]Report, error) {
+func All(ctx context.Context) ([]Report, error) {
 	var out []Report
-	for _, f := range []func() (Report, error){Figure1, Figure2, Table1, Table2, Table3, MTJNTLoss, RankingComparison} {
-		r, err := f()
+	for _, f := range []func(context.Context) (Report, error){Figure1, Figure2, Table1, Table2, Table3, MTJNTLoss, RankingComparison} {
+		r, err := f(ctx)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
 	}
-	_, abl, err := Ablation()
+	_, abl, err := Ablation(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -305,11 +305,7 @@ func (idx *Index) intersect(sc *scratch, lists []*postings.List, seed int, fn fu
 	}
 }
 
-// idf is the smoothed inverse document frequency of a term.
-func (idx *Index) idf(term string) float64 {
-	return idx.idfOf(idx.list(term))
-}
-
+// idfOf is the smoothed inverse document frequency of a term's posting list.
 func (idx *Index) idfOf(l *postings.List) float64 {
 	df := l.Len()
 	if df == 0 {
@@ -342,10 +338,6 @@ func putScratch(sc *scratch) { scratchPool.Put(sc) }
 func (idx *Index) Match(keyword string) []Match {
 	sc := getScratch()
 	defer putScratch(sc)
-	return idx.match(sc, keyword)
-}
-
-func (idx *Index) match(sc *scratch, keyword string) []Match {
 	terms := TokenizeInto(sc.tokens[:0], keyword)
 	sc.tokens = terms
 	if len(terms) == 0 {
@@ -421,20 +413,6 @@ func (idx *Index) MatchIDs(keyword string) []uint32 {
 	return out
 }
 
-// MatchAll resolves every keyword of a query, reusing one normalized-token
-// scratch across keywords. The returned map is keyed by the original keyword
-// strings. Keywords with no match map to an empty slice, letting callers
-// decide between AND and OR semantics.
-func (idx *Index) MatchAll(keywords []string) map[string][]Match {
-	sc := getScratch()
-	defer putScratch(sc)
-	out := make(map[string][]Match, len(keywords))
-	for _, kw := range keywords {
-		out[kw] = idx.match(sc, kw)
-	}
-	return out
-}
-
 // KeywordTuples returns the set of tuples matching the keyword as a
 // string-space map.
 func (idx *Index) KeywordTuples(keyword string) map[relation.TupleID]bool {
@@ -444,41 +422,6 @@ func (idx *Index) KeywordTuples(keyword string) map[relation.TupleID]bool {
 		out[idx.tuples.ID(id)] = true
 	}
 	return out
-}
-
-// ContentScore returns the total TF-IDF score of the given tuple for the
-// query keywords; tuples that match no keyword score zero.
-func (idx *Index) ContentScore(id relation.TupleID, keywords []string) float64 {
-	dense, ok := idx.tuples.Lookup(id)
-	if !ok {
-		return 0
-	}
-	return idx.ContentScoreID(dense, keywords)
-}
-
-// ContentScoreID is ContentScore over a dense tuple ID. Queries scoring many
-// tuples against the same keywords should build a Scorer once instead.
-func (idx *Index) ContentScoreID(dense uint32, keywords []string) float64 {
-	sc := getScratch()
-	defer putScratch(sc)
-	score := 0.0
-	var it postings.Iterator
-	for _, kw := range keywords {
-		terms := TokenizeInto(sc.tokens[:0], kw)
-		sc.tokens = terms
-		for _, term := range terms {
-			l := idx.list(term)
-			if l.Len() == 0 {
-				continue
-			}
-			e, ok := l.Find(dense, &it)
-			if !ok {
-				continue
-			}
-			score += (1 + math.Log(float64(e.TF))) * idx.idfOf(l)
-		}
-	}
-	return score
 }
 
 // Vocabulary returns the indexed terms in sorted order; useful for workload

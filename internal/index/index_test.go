@@ -154,39 +154,58 @@ func TestMatchMultiTermKeyword(t *testing.T) {
 	}
 }
 
+// TestMatchAll resolves every keyword of a query through each of the three
+// match views — scored (Match), dense (MatchIDs) and set (KeywordTuples) —
+// and checks they name the same tuples.
 func TestMatchAll(t *testing.T) {
 	idx := paperIndex(t)
-	all := idx.MatchAll(paperdb.QuerySmithXML)
-	if len(all) != 2 {
-		t.Fatalf("MatchAll keys = %d", len(all))
-	}
-	if len(all["Smith"]) != 2 || len(all["XML"]) != 4 {
-		t.Errorf("MatchAll sizes = %d, %d", len(all["Smith"]), len(all["XML"]))
-	}
-	all = idx.MatchAll([]string{"Smith", "nonexistent"})
-	if len(all["nonexistent"]) != 0 {
-		t.Error("unknown keyword should map to no matches")
+	sizes := map[string]int{"Smith": 2, "XML": 4, "nonexistent": 0}
+	for _, kw := range append([]string{"nonexistent"}, paperdb.QuerySmithXML...) {
+		matches, ids, set := idx.Match(kw), idx.MatchIDs(kw), idx.KeywordTuples(kw)
+		if len(matches) != sizes[kw] || len(ids) != sizes[kw] || len(set) != sizes[kw] {
+			t.Fatalf("%q: %d matches, %d ids, %d set members, want %d each", kw, len(matches), len(ids), len(set), sizes[kw])
+		}
+		for _, m := range matches {
+			if !set[m.Tuple] {
+				t.Errorf("%q: Match names %v, KeywordTuples does not", kw, m.Tuple)
+			}
+		}
+		for _, dense := range ids {
+			if !set[idx.Tuples().ID(dense)] {
+				t.Errorf("%q: MatchIDs names %v, KeywordTuples does not", kw, idx.Tuples().ID(dense))
+			}
+		}
 	}
 }
 
 func TestContentScore(t *testing.T) {
 	idx := paperIndex(t)
-	q := paperdb.QuerySmithXML
-	e1 := idx.ContentScore(id("EMPLOYEE", "e1"), q)
-	d1 := idx.ContentScore(id("DEPARTMENT", "d1"), q)
-	none := idx.ContentScore(id("DEPENDENT", "t2"), q)
+	sc := idx.NewScorer(paperdb.QuerySmithXML)
+	e1 := sc.Score(id("EMPLOYEE", "e1"))
+	d1 := sc.Score(id("DEPARTMENT", "d1"))
 	if e1 <= 0 || d1 <= 0 {
 		t.Errorf("scores: e1=%g d1=%g", e1, d1)
 	}
-	if none != 0 {
+	if none := sc.Score(id("DEPENDENT", "t2")); none != 0 {
 		t.Errorf("non-matching tuple score = %g, want 0", none)
+	}
+	if unknown := sc.Score(id("DEPENDENT", "zz")); unknown != 0 {
+		t.Errorf("unknown tuple score = %g, want 0", unknown)
 	}
 	// A tuple matching both keywords scores at least as much as one
 	// matching a single keyword with the same frequencies; p2 matches XML
 	// twice so it beats d1.
-	p2 := idx.ContentScore(id("PROJECT", "p2"), q)
-	if p2 <= d1 {
+	if p2 := sc.Score(id("PROJECT", "p2")); p2 <= d1 {
 		t.Errorf("p2 score %g should exceed d1 score %g", p2, d1)
+	}
+	// Per keyword, the scorer and Match are the same sum, bit for bit.
+	for _, kw := range paperdb.QuerySmithXML {
+		one := idx.NewScorer([]string{kw})
+		for _, m := range idx.Match(kw) {
+			if got := one.Score(m.Tuple); got != m.Score {
+				t.Errorf("Scorer(%q).Score(%v) = %v, Match scored it %v", kw, m.Tuple, got, m.Score)
+			}
+		}
 	}
 }
 

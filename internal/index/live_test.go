@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -125,12 +124,11 @@ func TestIndexApplyScoresMatchFreshBuild(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Match(%q) diverged:\nincremental: %v\nfresh:       %v", kw, got, want)
 		}
+		incScorer, freshScorer := inc.NewScorer([]string{kw}), fresh.NewScorer([]string{kw})
 		for _, tab := range db.Tables() {
 			for _, tup := range tab.Tuples() {
-				g := inc.ContentScore(tup.ID(), []string{kw})
-				w := fresh.ContentScore(tup.ID(), []string{kw})
-				if math.Abs(g-w) != 0 {
-					t.Fatalf("ContentScore(%s, %q) = %v, want %v", tup.ID(), kw, g, w)
+				if g, w := incScorer.Score(tup.ID()), freshScorer.Score(tup.ID()); g != w {
+					t.Fatalf("Score(%s, %q) = %v, want %v", tup.ID(), kw, g, w)
 				}
 			}
 		}

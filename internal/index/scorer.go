@@ -8,11 +8,10 @@ import (
 )
 
 // Scorer scores tuples against a fixed keyword set with the query's terms
-// pre-tokenized and pre-resolved to posting lists and idf values — the
-// answer-annotation fast path. Building one Scorer per query replaces the
-// per-tuple re-tokenization that ContentScore performs, and point lookups
-// reuse one iterator across calls. Not safe for concurrent use; each
-// annotating goroutine builds its own.
+// pre-tokenized and pre-resolved to posting lists and idf values, so scoring
+// a tuple is one point lookup per query term, reusing one iterator across
+// calls. Every engine's answer annotation scores through one. Not safe for
+// concurrent use; each annotating goroutine builds its own.
 type Scorer struct {
 	idx   *Index
 	lists []*postings.List // resolved terms, query token order; unknown terms omitted
@@ -21,8 +20,8 @@ type Scorer struct {
 }
 
 // NewScorer resolves the keywords (in order, duplicates kept) against the
-// index. Scores sum term contributions in the same order ContentScore does,
-// so the two agree bit-for-bit.
+// index. A score sums the term contributions in that order — the same order
+// Match uses within one keyword — which fixes its floating-point bits.
 func (idx *Index) NewScorer(keywords []string) *Scorer {
 	s := &Scorer{idx: idx}
 	var tokens []string
@@ -41,7 +40,7 @@ func (idx *Index) NewScorer(keywords []string) *Scorer {
 }
 
 // ScoreID returns the total TF-IDF score of the tuple with the given dense
-// ID, equal to ContentScoreID over the Scorer's keywords.
+// ID over the Scorer's keywords; tuples matching none of them score zero.
 func (s *Scorer) ScoreID(dense uint32) float64 {
 	score := 0.0
 	for i, l := range s.lists {

@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,11 +13,12 @@ import (
 // restricted to 3 joins (connections 1-7), keyed by their Table 2 rendering.
 func smithXMLItems(t testing.TB) ([]Item, map[string]string) {
 	t.Helper()
-	engine, err := paths.New(paperdb.MustLoad(), paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
+	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
+	engine, err := paths.New(paperdb.MustLoad(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := engine.Search(paperdb.QuerySmithXML)
+	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ranking
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -21,12 +22,12 @@ func paperItems(t *testing.T) []Item {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := paths.NewWithComponents(db, datagraph.Build(db), index.Build(db), analyzer,
-		paths.Options{MaxEdges: 4, RequireAllKeywords: true, InstanceCorroboration: true})
+	opts := paths.Options{MaxEdges: 4, RequireAllKeywords: true, InstanceCorroboration: true}
+	engine, err := paths.NewWithComponents(db, datagraph.Build(db), index.Build(db), analyzer, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := engine.Search([]string{"Smith", "XML"})
+	answers, err := engine.SearchContext(context.Background(), []string{"Smith", "XML"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

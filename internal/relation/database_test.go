@@ -245,3 +245,56 @@ func TestDumpTableAndStats(t *testing.T) {
 		t.Errorf("DumpStats = %q", buf.String())
 	}
 }
+
+func populatedCompanyDB(t *testing.T) *Database {
+	t.Helper()
+	db := newCompanyDB(t)
+	dept, _ := db.Table("DEPARTMENT")
+	proj, _ := db.Table("PROJECT")
+	emp, _ := db.Table("EMPLOYEE")
+	won, _ := db.Table("WORKS_ON")
+	dep, _ := db.Table("DEPENDENT")
+	must := func(_ *Tuple, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(dept.InsertRow(String("d1"), String("cs"), Text("programming, databases and XML")))
+	must(dept.InsertRow(String("d2"), String("inf"), Text("information retrieval and XML")))
+	must(proj.InsertRow(String("p1"), String("d1"), String("DB-project"), Text("relational, object and XML")))
+	must(proj.InsertRow(String("p2"), String("d2"), String("XML and IR"), Text("XML offers a notation")))
+	must(emp.InsertRow(String("e1"), String("Smith"), String("John"), String("d1")))
+	must(emp.InsertRow(String("e2"), String("Smith"), String("Barbara"), String("d2")))
+	must(won.InsertRow(String("e1"), String("p1"), Int(40)))
+	must(won.InsertRow(String("e2"), String("p2"), Int(70)))
+	must(dep.InsertRow(String("t1"), String("e1"), String("Alice")))
+	return db
+}
+
+// TestJoinOnForeignKey follows a foreign key from every owning tuple to the
+// tuple it references — the equi-join the data graph's edges are built from.
+func TestJoinOnForeignKey(t *testing.T) {
+	db := populatedCompanyDB(t)
+	emp, _ := db.Table("EMPLOYEE")
+	fk := emp.Schema().ForeignKeys[0]
+	for _, tup := range emp.Tuples() {
+		ref, ok := db.ReferencedTuple(tup, fk)
+		if !ok {
+			t.Fatalf("%v references no department", tup)
+		}
+		if tup.Value("D_ID").AsString() != ref.Value("ID").AsString() {
+			t.Errorf("join mismatch: %v -> %v", tup, ref)
+		}
+	}
+	// A foreign key the tuple's relation does not own resolves nothing, and
+	// neither does one into an unknown relation.
+	dept, _ := db.Table("DEPARTMENT")
+	if _, ok := db.ReferencedTuple(dept.Tuples()[0], fk); ok {
+		t.Error("a department tuple resolved the employees' foreign key")
+	}
+	other := ForeignKey{Columns: []string{"D_ID"}, RefRelation: "NOPE", RefColumns: []string{"ID"}}
+	if _, ok := db.ReferencedTuple(emp.Tuples()[0], other); ok {
+		t.Error("a foreign key into an unknown relation resolved")
+	}
+}

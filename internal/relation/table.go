@@ -210,17 +210,6 @@ func (t *Table) Scan(fn func(*Tuple) bool) {
 	}
 }
 
-// Select returns the tuples satisfying the predicate, in insertion order.
-func (t *Table) Select(pred func(*Tuple) bool) []*Tuple {
-	var out []*Tuple
-	for _, tup := range t.tuples {
-		if pred(tup) {
-			out = append(out, tup)
-		}
-	}
-	return out
-}
-
 // SortedTuples returns the tuples ordered by primary key; used for
 // deterministic rendering of tables in reports.
 func (t *Table) SortedTuples() []*Tuple {

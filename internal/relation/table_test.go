@@ -153,9 +153,15 @@ func TestTableScanAndSelect(t *testing.T) {
 	if count != 2 {
 		t.Errorf("Scan visited %d tuples, want early stop at 2", count)
 	}
-	sel := tab.Select(ColumnEquals("D_NAME", String("nd2")))
+	var sel []*Tuple
+	tab.Scan(func(tup *Tuple) bool {
+		if tup.Value("D_NAME").Equal(String("nd2")) {
+			sel = append(sel, tup)
+		}
+		return true
+	})
 	if len(sel) != 1 || sel[0].Value("ID").AsString() != "d2" {
-		t.Errorf("Select = %v", sel)
+		t.Errorf("full Scan selected %v", sel)
 	}
 }
 

@@ -104,8 +104,9 @@ func (t Tree) Signature() string {
 }
 
 // Engine runs backward expanding search over a database. It is immutable
-// after construction and safe for concurrent use; the options passed at
-// construction only serve as defaults for the legacy Search entry point.
+// after construction and safe for concurrent use; every call carries its own
+// options, and the ones passed at construction only supply the MaxDepth and
+// MaxResults a call leaves unset.
 type Engine struct {
 	db    *relation.Database
 	graph *datagraph.Graph
@@ -118,7 +119,7 @@ func New(db *relation.Database, opts Options) (*Engine, error) {
 	if db == nil {
 		return nil, fmt.Errorf("banks: nil database")
 	}
-	applyDefaults(&opts)
+	applyDefaults(&opts, DefaultOptions())
 	return &Engine{db: db, graph: datagraph.Build(db), index: index.Build(db), opts: opts}, nil
 }
 
@@ -129,16 +130,17 @@ func NewWithComponents(db *relation.Database, g *datagraph.Graph, idx *index.Ind
 	if db == nil || g == nil || idx == nil {
 		return nil, fmt.Errorf("banks: nil component")
 	}
-	applyDefaults(&opts)
+	applyDefaults(&opts, DefaultOptions())
 	return &Engine{db: db, graph: g, index: idx, opts: opts}, nil
 }
 
-func applyDefaults(opts *Options) {
+// applyDefaults fills the unset budgets of opts from def.
+func applyDefaults(opts *Options, def Options) {
 	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = DefaultOptions().MaxDepth
+		opts.MaxDepth = def.MaxDepth
 	}
 	if opts.MaxResults <= 0 {
-		opts.MaxResults = DefaultOptions().MaxResults
+		opts.MaxResults = def.MaxResults
 	}
 }
 
@@ -226,22 +228,15 @@ func (e *Engine) pathToMatch(ex *expansion, root uint32) []datagraph.Edge {
 	return edges
 }
 
-// Search runs the backward expanding search and returns up to MaxResults
-// answer trees ordered by ascending weight, then by signature.
-//
-// Deprecated: use SearchContext, which is cancellable; this shim runs under
-// context.Background().
-func (e *Engine) Search(keywords []string) ([]Tree, error) {
-	return e.SearchContext(context.Background(), keywords, e.opts)
-}
-
-// SearchContext is Search with cancellation and per-call options: zero
-// options fall back to the defaults, and both the keyword expansions and the
-// per-root tree construction abort with ctx.Err() as soon as the context is
-// cancelled. The engine itself is immutable, so concurrent SearchContext
-// calls with different options are safe.
+// SearchContext runs the backward expanding search and returns up to
+// MaxResults answer trees ordered by ascending weight, then by signature.
+// Unset budgets fall back to the engine's construction-time options, and both
+// the keyword expansions and the per-root tree construction abort with
+// ctx.Err() as soon as the context is cancelled. The engine itself is
+// immutable, so concurrent SearchContext calls with different options are
+// safe.
 func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Options) ([]Tree, error) {
-	applyDefaults(&opts)
+	applyDefaults(&opts, e.opts)
 	if len(keywords) == 0 {
 		return nil, fmt.Errorf("banks: empty keyword query")
 	}

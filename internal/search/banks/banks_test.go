@@ -1,6 +1,7 @@
 package banks
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/paperdb"
@@ -20,7 +21,7 @@ func newEngine(t testing.TB, opts Options) *Engine {
 
 func TestSearchSmithXMLTopTrees(t *testing.T) {
 	e := newEngine(t, Options{MaxDepth: 4, MaxResults: 20})
-	trees, err := e.Search(paperdb.QuerySmithXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxDepth: 4, MaxResults: 20})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -60,7 +61,7 @@ func TestSearchSmithXMLTopTrees(t *testing.T) {
 
 func TestSearchTreesCoverAllKeywords(t *testing.T) {
 	e := newEngine(t, Options{MaxDepth: 4, MaxResults: 15})
-	trees, err := e.Search(paperdb.QuerySmithXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxDepth: 4, MaxResults: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestSearchTreesCoverAllKeywords(t *testing.T) {
 
 func TestSearchNoDuplicateTrees(t *testing.T) {
 	e := newEngine(t, Options{MaxDepth: 5, MaxResults: 50})
-	trees, err := e.Search(paperdb.QuerySmithXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxDepth: 5, MaxResults: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestSearchNoDuplicateTrees(t *testing.T) {
 
 func TestSearchMaxResults(t *testing.T) {
 	e := newEngine(t, Options{MaxDepth: 4, MaxResults: 3})
-	trees, err := e.Search(paperdb.QuerySmithXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxDepth: 4, MaxResults: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestSearchMaxResults(t *testing.T) {
 
 func TestTreeAsConnection(t *testing.T) {
 	e := newEngine(t, Options{MaxDepth: 4, MaxResults: 30})
-	trees, err := e.Search(paperdb.QuerySmithXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxDepth: 4, MaxResults: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestTreeAsConnection(t *testing.T) {
 
 func TestSearchAliceXML(t *testing.T) {
 	e := newEngine(t, Options{MaxDepth: 5, MaxResults: 10})
-	trees, err := e.Search(paperdb.QueryAliceXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QueryAliceXML, Options{MaxDepth: 5, MaxResults: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +161,10 @@ func TestSearchAliceXML(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	e := newEngine(t, Options{})
-	if _, err := e.Search(nil); err == nil {
+	if _, err := e.SearchContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("empty query should fail")
 	}
-	if _, err := e.Search([]string{"Smith", "blockchain"}); err == nil {
+	if _, err := e.SearchContext(context.Background(), []string{"Smith", "blockchain"}, Options{}); err == nil {
 		t.Error("unmatched keyword should fail")
 	}
 	if _, err := New(nil, Options{}); err == nil {
@@ -178,7 +179,7 @@ func TestMaxDepthLimitsAnswers(t *testing.T) {
 	// With a depth of 1 per keyword expansion, only trees of weight <= 2
 	// can be found.
 	e := newEngine(t, Options{MaxDepth: 1, MaxResults: 50})
-	trees, err := e.Search(paperdb.QuerySmithXML)
+	trees, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxDepth: 1, MaxResults: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,7 @@ func DefaultOptions() Options { return Options{MaxEdges: 5} }
 
 // Network is one MTJNT answer. Networks produced by this engine are
 // path-shaped (the natural shape for the two-keyword queries the paper
-// studies); the minimality and totality predicates are exported so that
-// callers can also check tree-shaped candidates.
+// studies).
 type Network struct {
 	Connection core.Connection
 	Matches    map[relation.TupleID][]string
@@ -58,8 +57,9 @@ type CandidateNetwork struct {
 func (cn CandidateNetwork) String() string { return strings.Join(cn.Relations, "-") }
 
 // Engine produces MTJNT answers for keyword queries. It is immutable after
-// construction and safe for concurrent use; the options passed at
-// construction only serve as defaults for the legacy Search entry point.
+// construction and safe for concurrent use; every call carries its own
+// options, and the ones passed at construction only supply the MaxEdges a
+// call leaves unset.
 type Engine struct {
 	db    *relation.Database
 	graph *datagraph.Graph
@@ -89,99 +89,11 @@ func NewWithComponents(db *relation.Database, g *datagraph.Graph, idx *index.Ind
 	return &Engine{db: db, graph: g, index: idx, opts: opts}, nil
 }
 
-// IsTotal reports whether the tuple set covers every keyword, given the
-// per-keyword match sets.
-func IsTotal(tuples []relation.TupleID, keywordTuples map[string]map[relation.TupleID]bool, keywords []string) bool {
-	for _, kw := range keywords {
-		covered := false
-		for _, t := range tuples {
-			if keywordTuples[kw][t] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	return true
-}
-
-// IsMinimalTotal reports whether the connection is a minimal total joining
-// network of tuples: it is total, and removing any single tuple leaves a set
-// that is either no longer total or no longer joinable (connected through
-// the foreign-key edges among the remaining tuples). Note that connectivity
-// is evaluated on the induced subgraph of the data graph, not only on the
-// connection's own edges: removing the project p3 from the paper's
-// connection 7 (d2 - p3 - w_f2 - e2) leaves {d2, w_f2, e2}, which is still
-// connected through the works-for join d2-e2 and still total, so connection
-// 7 is not minimal and is lost under the MTJNT principle.
-func IsMinimalTotal(g *datagraph.Graph, c core.Connection, keywordTuples map[string]map[relation.TupleID]bool, keywords []string) bool {
-	if len(c.Tuples) == 0 {
-		return false
-	}
-	if !IsTotal(c.Tuples, keywordTuples, keywords) {
-		return false
-	}
-	if len(c.Tuples) == 1 {
-		return true
-	}
-	for _, removed := range c.Tuples {
-		rest := make([]relation.TupleID, 0, len(c.Tuples)-1)
-		for _, t := range c.Tuples {
-			if t != removed {
-				rest = append(rest, t)
-			}
-		}
-		if IsTotal(rest, keywordTuples, keywords) && inducedConnected(g, rest) {
-			return false
-		}
-	}
-	return true
-}
-
-// inducedConnected reports whether the tuple set is connected in the
-// subgraph of the data graph induced by it.
-func inducedConnected(g *datagraph.Graph, tuples []relation.TupleID) bool {
-	if len(tuples) <= 1 {
-		return true
-	}
-	if g == nil {
-		return false
-	}
-	in := make(map[relation.TupleID]bool, len(tuples))
-	for _, t := range tuples {
-		in[t] = true
-	}
-	seen := map[relation.TupleID]bool{tuples[0]: true}
-	queue := []relation.TupleID{tuples[0]}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Neighbors(cur) {
-			if in[e.To] && !seen[e.To] {
-				seen[e.To] = true
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return len(seen) == len(tuples)
-}
-
-// Search returns the MTJNTs answering the query, ordered by ascending size
-// then canonical key.
-//
-// Deprecated: use SearchContext, which is cancellable; this shim runs under
-// context.Background().
-func (e *Engine) Search(keywords []string) ([]Network, error) {
-	return e.SearchContext(context.Background(), keywords, e.opts)
-}
-
-// SearchContext is Search with cancellation and per-call options: the zero
-// MaxEdges falls back to the default budget, and the enumeration aborts with
-// ctx.Err() as soon as the context is cancelled. The engine itself is
-// immutable, so concurrent SearchContext calls with different options are
-// safe.
+// SearchContext returns the MTJNTs answering the query, ordered by ascending
+// size then canonical key. A zero MaxEdges falls back to the engine's
+// construction-time budget, and the enumeration aborts with ctx.Err() as soon
+// as the context is cancelled. The engine itself is immutable, so concurrent
+// SearchContext calls with different options are safe.
 func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Options) ([]Network, error) {
 	var out []Network
 	// The cap is applied after the deterministic sort, so the stream below
@@ -219,7 +131,7 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 		return fmt.Errorf("mtjnt: empty keyword query")
 	}
 	if opts.MaxEdges <= 0 {
-		opts.MaxEdges = DefaultOptions().MaxEdges
+		opts.MaxEdges = e.opts.MaxEdges
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -371,9 +283,16 @@ func (e *Engine) walkCandidates(ctx context.Context, keywords []string, q *query
 	return nil
 }
 
-// isMinimalTotalIDs is IsMinimalTotal in the interned space: totality is a
-// bitset probe per keyword and connectivity a BFS over the dense adjacency
-// restricted to the candidate's handful of nodes.
+// isMinimalTotalIDs reports whether the candidate is a minimal total joining
+// network of tuples: it is total, and removing any single tuple leaves a set
+// that is either no longer total or no longer joinable. Connectivity is
+// evaluated on the subgraph of the data graph induced by the remaining
+// tuples, not only on the candidate's own edges: removing the project p3 from
+// the paper's connection 7 (d2 - p3 - w_f2 - e2) leaves {d2, w_f2, e2}, which
+// is still connected through the works-for join d2-e2 and still total, so
+// connection 7 is not minimal and is lost under the MTJNT principle. Totality
+// is a bitset probe per keyword and connectivity a BFS over the dense
+// adjacency restricted to the candidate's handful of nodes.
 func (e *Engine) isMinimalTotalIDs(nodes []uint32, q *query) bool {
 	if len(nodes) == 0 {
 		return false
@@ -449,7 +368,7 @@ func (e *Engine) inducedConnectedIDs(nodes []uint32) bool {
 // relations contain matches of different keywords (or a single relation
 // whose tuples can cover the whole query). Paths whose interior would make
 // an end relation redundant are not pruned here — pruning happens at the
-// instance level through IsMinimalTotal.
+// instance level through isMinimalTotalIDs.
 func (e *Engine) CandidateNetworks(keywords []string, maxEdges int) ([]CandidateNetwork, error) {
 	if len(keywords) == 0 {
 		return nil, fmt.Errorf("mtjnt: empty keyword query")

@@ -1,12 +1,10 @@
 package mtjnt
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/datagraph"
-	"repro/internal/index"
 	"repro/internal/paperdb"
 	"repro/internal/relation"
 )
@@ -53,7 +51,7 @@ func contains(got []string, want string) bool {
 // p1/e2-style minimal pairs), while connections 3, 4, 6 and 7 are lost.
 func TestSearchSmithXMLLosesLongConnections(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 3})
-	nets, err := e.Search(paperdb.QuerySmithXML)
+	nets, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 3})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -81,86 +79,81 @@ func TestSearchSmithXMLLosesLongConnections(t *testing.T) {
 }
 
 func TestIsMinimalTotalPredicates(t *testing.T) {
-	db := paperdb.MustLoad()
-	g := datagraph.Build(db)
-	idx := index.Build(db)
+	e := newEngine(t, Options{MaxEdges: 3})
 	keywords := paperdb.QuerySmithXML
-	keywordTuples := map[string]map[relation.TupleID]bool{
-		"Smith": idx.KeywordTuples("Smith"),
-		"XML":   idx.KeywordTuples("XML"),
-	}
-
-	conn := func(ids ...relation.TupleID) core.Connection {
-		t.Helper()
-		var edges []core.Connection
-		_ = edges
-		c, err := core.NewConnection(ids[0], pathEdges(t, g, ids))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-
-	d1e1 := conn(id("DEPARTMENT", "d1"), id("EMPLOYEE", "e1"))
-	if !IsMinimalTotal(g, d1e1, keywordTuples, keywords) {
-		t.Error("connection 1 should be an MTJNT")
-	}
-	p1we1 := conn(id("PROJECT", "p1"), id("WORKS_ON", relation.EncodeKey([]relation.Value{relation.String("e1"), relation.String("p1")})), id("EMPLOYEE", "e1"))
-	if !IsMinimalTotal(g, p1we1, keywordTuples, keywords) {
-		t.Error("connection 2 should be an MTJNT (the junction tuple is required for joining)")
-	}
-	p1d1e1 := conn(id("PROJECT", "p1"), id("DEPARTMENT", "d1"), id("EMPLOYEE", "e1"))
-	if IsMinimalTotal(g, p1d1e1, keywordTuples, keywords) {
-		t.Error("connection 3 should not be minimal (removing p1 keeps totality)")
-	}
-	if !IsTotal(p1d1e1.Tuples, keywordTuples, keywords) {
-		t.Error("connection 3 is still total")
-	}
-	// Connection 7: removing the interior project p3 leaves a set that is
-	// still joinable through the direct works-for edge, so it is not minimal.
-	conn7 := conn(id("DEPARTMENT", "d2"), id("PROJECT", "p3"),
-		id("WORKS_ON", relation.EncodeKey([]relation.Value{relation.String("e2"), relation.String("p3")})), id("EMPLOYEE", "e2"))
-	if IsMinimalTotal(g, conn7, keywordTuples, keywords) {
-		t.Error("connection 7 should not be minimal")
-	}
-	// A connection that misses a keyword entirely is not total.
-	d1e3 := conn(id("DEPARTMENT", "d1"), id("EMPLOYEE", "e3"))
-	if IsTotal(d1e3.Tuples, keywordTuples, keywords) {
-		t.Error("d1-e3 does not contain Smith")
-	}
-	if IsMinimalTotal(g, d1e3, keywordTuples, keywords) {
-		t.Error("non-total connection cannot be an MTJNT")
-	}
-	// The empty connection is rejected.
-	if IsMinimalTotal(g, core.Connection{}, keywordTuples, keywords) {
-		t.Error("empty connection cannot be an MTJNT")
-	}
-}
-
-// pathEdges resolves consecutive tuple pairs to data-graph edges.
-func pathEdges(t testing.TB, g *datagraph.Graph, ids []relation.TupleID) []datagraph.Edge {
-	t.Helper()
-	var edges []datagraph.Edge
-	for i := 0; i+1 < len(ids); i++ {
-		found := false
-		for _, e := range g.Neighbors(ids[i]) {
-			if e.To == ids[i+1] {
-				edges = append(edges, e)
-				found = true
-				break
+	var got []string
+	if err := e.Stream(context.Background(), keywords, Options{MaxEdges: 3}, func(n Network) bool {
+		got = append(got, n.Connection.Format(paperdb.DisplayLabel, n.Matches))
+		covered := make(map[string]bool)
+		for _, kws := range n.Matches {
+			for _, kw := range kws {
+				covered[kw] = true
 			}
 		}
-		if !found {
-			t.Fatalf("no edge between %v and %v", ids[i], ids[i+1])
+		if len(covered) != len(keywords) {
+			t.Errorf("streamed network %s is not total: covers %v", got[len(got)-1], covered)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := e.resolve(keywords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := func(ids ...relation.TupleID) []uint32 {
+		t.Helper()
+		out := make([]uint32, len(ids))
+		for i, id := range ids {
+			n, ok := e.graph.Tuples().Lookup(id)
+			if !ok {
+				t.Fatalf("unknown tuple %v", id)
+			}
+			out[i] = n
+		}
+		return out
+	}
+	wf := func(essn, pid string) relation.TupleID {
+		return id("WORKS_ON", relation.EncodeKey([]relation.Value{relation.String(essn), relation.String(pid)}))
+	}
+
+	for _, kept := range []string{
+		"d1(XML) - e1(Smith)",        // connection 1
+		"p1(XML) - w_f1 - e1(Smith)", // connection 2: the junction tuple is required for joining
+	} {
+		if !contains(got, kept) {
+			t.Errorf("%s should be an MTJNT; streamed:\n%s", kept, strings.Join(got, "\n"))
 		}
 	}
-	return edges
+	// Connection 3 stays total without p1; connection 7 without its interior
+	// project p3, whose removal leaves a set still joinable through the direct
+	// works-for edge d2-e2. Both are total but not minimal, so neither streams.
+	for name, lost := range map[string][]uint32{
+		"p1(XML) - d1(XML) - e1(Smith)":   dense(id("PROJECT", "p1"), id("DEPARTMENT", "d1"), id("EMPLOYEE", "e1")),
+		"d2(XML) - p3 - w_f2 - e2(Smith)": dense(id("DEPARTMENT", "d2"), id("PROJECT", "p3"), wf("e2", "p3"), id("EMPLOYEE", "e2")),
+	} {
+		if contains(got, name) {
+			t.Errorf("%s should not be minimal, yet it streamed", name)
+		}
+		if !e.isTotalIDs(lost, q) || e.isMinimalTotalIDs(lost, q) {
+			t.Errorf("%s should be total but not minimal", name)
+		}
+	}
+	// A connection that misses a keyword entirely is not total.
+	d1e3 := dense(id("DEPARTMENT", "d1"), id("EMPLOYEE", "e3"))
+	if e.isTotalIDs(d1e3, q) || e.isMinimalTotalIDs(d1e3, q) {
+		t.Error("d1-e3 does not contain Smith, so it is neither total nor an MTJNT")
+	}
+	// The empty connection is rejected.
+	if e.isMinimalTotalIDs(nil, q) {
+		t.Error("empty connection cannot be an MTJNT")
+	}
 }
 
 func TestSearchSingleTupleNetwork(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 3})
 	// Both keywords occur in d2's description.
-	nets, err := e.Search([]string{"information", "XML"})
+	nets, err := e.SearchContext(context.Background(), []string{"information", "XML"}, Options{MaxEdges: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +170,7 @@ func TestSearchSingleTupleNetwork(t *testing.T) {
 
 func TestSearchOrderingAndLimits(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 3, MaxResults: 2})
-	nets, err := e.Search(paperdb.QuerySmithXML)
+	nets, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 3, MaxResults: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +186,10 @@ func TestSearchOrderingAndLimits(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	e := newEngine(t, Options{})
-	if _, err := e.Search(nil); err == nil {
+	if _, err := e.SearchContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("empty query should fail")
 	}
-	if _, err := e.Search([]string{"Smith", "blockchain"}); err == nil {
+	if _, err := e.SearchContext(context.Background(), []string{"Smith", "blockchain"}, Options{}); err == nil {
 		t.Error("keyword without matches should fail (MTJNT requires totality)")
 	}
 	if _, err := New(nil, Options{}); err == nil {

@@ -68,22 +68,6 @@ type Answer struct {
 	ContentScore float64
 }
 
-// Keywords returns the distinct query keywords the answer covers, sorted.
-func (a Answer) Keywords() []string {
-	set := make(map[string]bool)
-	for _, kws := range a.Matches {
-		for _, k := range kws {
-			set[k] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Matcher resolves one keyword to the dense IDs of its matching tuples in
 // the engine's interned space. *index.Index satisfies it natively; a sharded
 // engine substitutes a scatter-gather resolver that fans the keyword out to
@@ -97,8 +81,9 @@ type Matcher interface {
 }
 
 // Engine enumerates connections between keyword tuples. It is immutable
-// after construction and safe for concurrent use; the options passed at
-// construction only serve as defaults for the legacy Search entry point.
+// after construction and safe for concurrent use; every call carries its own
+// options, and the ones passed at construction only supply the MaxEdges a
+// call leaves unset.
 type Engine struct {
 	db       *relation.Database
 	graph    *datagraph.Graph
@@ -164,29 +149,12 @@ func NewWithMatcher(db *relation.Database, g *datagraph.Graph, idx *index.Index,
 	return e, nil
 }
 
-// Graph returns the engine's data graph.
-func (e *Engine) Graph() *datagraph.Graph { return e.graph }
-
-// Index returns the engine's keyword index.
-func (e *Engine) Index() *index.Index { return e.index }
-
-// Analyzer returns the engine's association analyzer.
-func (e *Engine) Analyzer() *core.Analyzer { return e.analyzer }
-
-// Search enumerates the connections answering the keyword query. Answers are
-// deduplicated (a path and its reverse count once) and ordered by ascending
-// RDB length, then by canonical connection key; ranking strategies are
-// applied by the caller (see internal/ranking).
-//
-// Deprecated: use SearchContext, which is cancellable; this shim runs under
-// context.Background().
-func (e *Engine) Search(keywords []string) ([]Answer, error) {
-	return e.SearchContext(context.Background(), keywords, e.opts)
-}
-
-// SearchContext is Search with cancellation and per-call options: the zero
-// MaxEdges falls back to the default budget, and the enumeration aborts with
-// ctx.Err() as soon as the context is cancelled. The engine itself is
+// SearchContext enumerates the connections answering the keyword query.
+// Answers are deduplicated (a path and its reverse count once) and ordered by
+// ascending RDB length, then by canonical connection key; ranking strategies
+// are applied by the caller (see internal/ranking). A zero MaxEdges falls
+// back to the engine's construction-time budget, and the enumeration aborts
+// with ctx.Err() as soon as the context is cancelled. The engine itself is
 // immutable, so concurrent SearchContext calls with different options are
 // safe.
 func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Options) ([]Answer, error) {
@@ -263,7 +231,7 @@ func (e *Engine) resolve(keywords []string) *query {
 // first answers arrive while the enumeration is still running. The stream
 // stops when yield returns false, when MaxResults answers have been
 // delivered, or when the context is cancelled — in which case ctx.Err() is
-// returned. Answers are deduplicated exactly as in Search.
+// returned. Answers are deduplicated exactly as in SearchContext.
 //
 // With Parallelism other than 1, answer annotation — the association
 // analysis, the instance-level corroboration and the content score — runs on
@@ -275,7 +243,7 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 		return fmt.Errorf("paths: empty keyword query")
 	}
 	if opts.MaxEdges <= 0 {
-		opts.MaxEdges = DefaultOptions().MaxEdges
+		opts.MaxEdges = e.opts.MaxEdges
 	}
 	if err := ctx.Err(); err != nil {
 		return err

@@ -1,11 +1,17 @@
 package paths
 
 import (
+	"context"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/datagraph"
+	"repro/internal/index"
 	"repro/internal/paperdb"
 	"repro/internal/relation"
+	"repro/internal/symtab"
 )
 
 func id(rel, key string) relation.TupleID { return relation.TupleID{Relation: rel, Key: key} }
@@ -17,6 +23,23 @@ func newEngine(t testing.TB, opts Options) *Engine {
 		t.Fatalf("New: %v", err)
 	}
 	return e
+}
+
+// coveredKeywords returns the distinct query keywords the answer covers,
+// sorted.
+func coveredKeywords(a Answer) []string {
+	set := make(map[string]bool)
+	for _, kws := range a.Matches {
+		for _, k := range kws {
+			set[k] = true
+		}
+	}
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // formatted renders the answers in the paper's Table 2 notation.
@@ -33,7 +56,7 @@ func formatted(answers []Answer) []string {
 // the ones MTJNT would lose.
 func TestSearchSmithXMLReproducesTable2(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
-	answers, err := e.Search(paperdb.QuerySmithXML)
+	answers, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -61,7 +84,7 @@ func TestSearchSmithXMLReproducesTable2(t *testing.T) {
 	}
 	// Every answer covers both keywords under AND semantics.
 	for _, a := range answers {
-		kws := a.Keywords()
+		kws := coveredKeywords(a)
 		if len(kws) != 2 {
 			t.Errorf("answer %q covers %v", a.Connection.Format(paperdb.DisplayLabel, a.Matches), kws)
 		}
@@ -80,7 +103,7 @@ func reverseFormat(s string) string {
 
 func TestSearchResultsOrderedAndDeduplicated(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 4})
-	answers, err := e.Search(paperdb.QuerySmithXML)
+	answers, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +121,7 @@ func TestSearchResultsOrderedAndDeduplicated(t *testing.T) {
 
 func TestSearchAliceXMLFindsConnections8And9(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 4})
-	answers, err := e.Search(paperdb.QueryAliceXML)
+	answers, err := e.SearchContext(context.Background(), paperdb.QueryAliceXML, Options{MaxEdges: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +144,7 @@ func TestSearchAliceXMLFindsConnections8And9(t *testing.T) {
 
 func TestSearchAnalysisAttached(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 3, InstanceCorroboration: true})
-	answers, err := e.Search(paperdb.QuerySmithXML)
+	answers, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 3, InstanceCorroboration: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +169,7 @@ func TestSearchAnalysisAttached(t *testing.T) {
 
 func TestSearchSingleKeyword(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 3})
-	answers, err := e.Search([]string{"XML"})
+	answers, err := e.SearchContext(context.Background(), []string{"XML"}, Options{MaxEdges: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +187,7 @@ func TestSearchSingleTupleCoversBothKeywords(t *testing.T) {
 	// "information xml" are both in d2's description: the single tuple d2
 	// is itself an answer.
 	e := newEngine(t, Options{MaxEdges: 2})
-	answers, err := e.Search([]string{"information", "XML"})
+	answers, err := e.SearchContext(context.Background(), []string{"information", "XML"}, Options{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +205,13 @@ func TestSearchSingleTupleCoversBothKeywords(t *testing.T) {
 func TestSearchRequireAllKeywordsSemantics(t *testing.T) {
 	// With AND semantics a keyword without matches fails the query.
 	e := newEngine(t, Options{MaxEdges: 3, RequireAllKeywords: true})
-	if _, err := e.Search([]string{"Smith", "blockchain"}); err == nil {
+	if _, err := e.SearchContext(context.Background(), []string{"Smith", "blockchain"}, Options{MaxEdges: 3, RequireAllKeywords: true}); err == nil {
 		t.Error("AND semantics with an unmatched keyword should fail")
 	}
 	// With OR semantics the query still returns the Smith-XML style pairs
 	// among the matched keywords.
 	e = newEngine(t, Options{MaxEdges: 3, RequireAllKeywords: false})
-	answers, err := e.Search([]string{"Smith", "Miller"})
+	answers, err := e.SearchContext(context.Background(), []string{"Smith", "Miller"}, Options{MaxEdges: 3, RequireAllKeywords: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +222,7 @@ func TestSearchRequireAllKeywordsSemantics(t *testing.T) {
 
 func TestSearchMaxResultsAndBudget(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 5, MaxResults: 3})
-	answers, err := e.Search(paperdb.QuerySmithXML)
+	answers, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 5, MaxResults: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +231,7 @@ func TestSearchMaxResultsAndBudget(t *testing.T) {
 	}
 	// A budget of 1 join only finds the immediate connections 1 and 5.
 	e = newEngine(t, Options{MaxEdges: 1})
-	answers, err = e.Search(paperdb.QuerySmithXML)
+	answers, err = e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +242,7 @@ func TestSearchMaxResultsAndBudget(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	e := newEngine(t, Options{})
-	if _, err := e.Search(nil); err == nil {
+	if _, err := e.SearchContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("empty query should fail")
 	}
 	if _, err := New(nil, Options{}); err == nil {
@@ -231,16 +254,23 @@ func TestSearchErrors(t *testing.T) {
 }
 
 func TestNewWithComponentsSharesState(t *testing.T) {
-	base := newEngine(t, Options{MaxEdges: 3})
-	e, err := NewWithComponents(paperdb.MustLoad(), base.Graph(), base.Index(), base.Analyzer(), Options{MaxEdges: 3})
+	db := paperdb.MustLoad()
+	analyzer, err := core.Derive(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := base.Search(paperdb.QuerySmithXML)
+	tuples := symtab.ForDatabase(db)
+	opts := Options{MaxEdges: 3}
+	e, err := NewWithComponents(db, datagraph.BuildParallelWith(db, tuples, 1), index.BuildParallelWith(db, tuples, 1), analyzer, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := e.Search(paperdb.QuerySmithXML)
+	a1, err := newEngine(t, opts).SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The per-call budget is left unset: it falls back to the constructor's.
+	a2, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +295,7 @@ func TestDefaultOptions(t *testing.T) {
 func TestMatchedKeywordOrderFollowsQuery(t *testing.T) {
 	e := newEngine(t, Options{MaxEdges: 2, RequireAllKeywords: true})
 	for _, keywords := range [][]string{{"teaching", "XML"}, {"XML", "teaching"}} {
-		answers, err := e.Search(keywords)
+		answers, err := e.SearchContext(context.Background(), keywords, Options{MaxEdges: 2, RequireAllKeywords: true})
 		if err != nil {
 			t.Fatalf("Search(%v): %v", keywords, err)
 		}

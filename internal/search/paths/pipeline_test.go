@@ -27,7 +27,7 @@ func renderAnswers(answers []Answer) string {
 			a.Analysis.Close, a.Analysis.CorroboratedAtInstance,
 			a.Analysis.TransitiveNM, a.Analysis.LoosenessDegree, a.Analysis.Bridges,
 			a.Analysis.Hubs,
-			a.Keywords(), a.ContentScore)
+			coveredKeywords(a), a.ContentScore)
 	}
 	return b.String()
 }

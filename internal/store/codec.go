@@ -3,15 +3,12 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 )
 
-// WAL record framing and the canonical binary encoding of mutations.
-//
-// A record is [u32 payload length][u32 CRC32-IEEE of payload][payload], both
-// little-endian. The payload is
+// The canonical binary encoding of mutations — the payload of a WAL record
+// (framedlog.go frames it). The payload is
 //
 //	uvarint generation
 //	uvarint op count
@@ -28,14 +25,6 @@ import (
 // known tags, exact consumption), which the WAL fuzz target relies on.
 
 const (
-	frameHeaderSize = 8
-	// maxRecordBytes caps a single record's payload. A length field beyond
-	// it is treated as corruption (or a torn tail when it runs past EOF),
-	// never as an instruction to allocate gigabytes.
-	maxRecordBytes = 64 << 20
-)
-
-const (
 	tagNil   = 0
 	tagStr   = 1
 	tagInt   = 2
@@ -44,14 +33,7 @@ const (
 	tagFalse = 5
 )
 
-// appendFrame appends the framed record for (gen, m) to dst.
-func appendFrame(dst []byte, gen uint64, m Mutation) []byte {
-	payload := appendMutation(nil, gen, m)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
-}
-
+// appendMutation appends the record payload for (gen, m) to dst.
 func appendMutation(dst []byte, gen uint64, m Mutation) []byte {
 	dst = binary.AppendUvarint(dst, gen)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Ops)))

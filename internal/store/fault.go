@@ -86,7 +86,7 @@ func (f *FaultStore) Append(gen uint64, m Mutation) error {
 	case CrashPreAppend:
 		return f.kill()
 	case CrashTornAppend:
-		frame := appendFrame(nil, gen, m)
+		frame := appendFrame(nil, appendMutation(nil, gen, m))
 		n := f.TornBytes
 		if n > len(frame) {
 			n = len(frame)
@@ -96,7 +96,7 @@ func (f *FaultStore) Append(gen uint64, m Mutation) error {
 		defer s.mu.Unlock()
 		// Deliberately skip fsync and all accounting: the process "died"
 		// here, so the in-memory view must not learn about these bytes.
-		if _, err := s.wal.Write(frame[:n]); err != nil {
+		if _, err := s.log.f.Write(frame[:n]); err != nil {
 			return err
 		}
 		return f.kill()

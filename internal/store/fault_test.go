@@ -17,7 +17,7 @@ func reopen(t *testing.T, dir string) *FileStore {
 // on a prefix of the acknowledged generations — never a partial record,
 // never a lost acknowledged one.
 func TestFaultMatrix(t *testing.T) {
-	frameLen := len(appendFrame(nil, 3, testMutation(3)))
+	frameLen := len(appendFrame(nil, appendMutation(nil, 3, testMutation(3))))
 	type step struct {
 		point CrashPoint
 		torn  int

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,13 +11,13 @@ import (
 	"repro/internal/relation"
 )
 
-// File names inside a store directory. The temp names are transient: a
-// crash can leave them behind and Open removes them.
+// File names inside a store directory. The temp name is transient: a crash
+// can leave it behind and Open removes it (the WAL's own rewrite temp file
+// is the framed log's to clean up).
 const (
 	walName     = "wal.log"
 	snapName    = "snapshot.db"
 	snapTmpName = "snapshot.db.tmp"
-	walTmpName  = "wal.log.tmp"
 )
 
 // FileStore is the file-backed Store: one append-only WAL plus one snapshot
@@ -30,10 +28,8 @@ const (
 type FileStore struct {
 	mu  sync.Mutex
 	dir string
-	wal *os.File
+	log *framedLog
 
-	walBytes   int64
-	walRecords int64
 	// lastGen is the newest durable generation: the last WAL record's, or
 	// the snapshot's when the log is empty. Append enforces contiguity
 	// against it.
@@ -52,10 +48,8 @@ func Open(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	for _, tmp := range []string{snapTmpName, walTmpName} {
-		if err := os.Remove(filepath.Join(dir, tmp)); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("store: remove stale %s: %w", tmp, err)
-		}
+	if err := os.Remove(filepath.Join(dir, snapTmpName)); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("store: remove stale %s: %w", snapTmpName, err)
 	}
 	s := &FileStore{dir: dir}
 	if data, err := os.ReadFile(s.path(snapName)); err == nil {
@@ -68,112 +62,52 @@ func Open(dir string) (*FileStore, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	wal, err := os.OpenFile(s.path(walName), os.O_RDWR|os.O_CREATE, 0o644)
+	walLast := uint64(0)
+	log, err := openFramedLog(s.path(walName), walVisitor(func(_ int64, gen uint64, _ Mutation) error {
+		walLast = gen
+		return nil
+	}))
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := s.recoverWAL(wal); err != nil {
-		wal.Close()
 		return nil, err
 	}
-	s.wal = wal
+	s.log = log
+	if walLast > s.lastGen {
+		s.lastGen = walLast
+	}
 	return s, nil
 }
 
 func (s *FileStore) path(name string) string { return filepath.Join(s.dir, name) }
 
-// recoverWAL scans the log, truncates a torn tail, and primes the counters.
-// The scan distinguishes a torn tail (the failure reaches end of file — the
-// signature of a crash mid-append) from mid-log corruption (valid-looking
-// data continues after the bad record), which is a hard ErrCorrupt: guessing
-// a resync point would silently drop acknowledged generations.
-func (s *FileStore) recoverWAL(wal *os.File) error {
-	data, err := os.ReadFile(s.path(walName))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	validEnd, records, lastGen, err := scanWAL(data, nil)
-	if err != nil {
-		return fmt.Errorf("store: %s: %w", walName, err)
-	}
-	if validEnd < int64(len(data)) {
-		// Torn tail: drop the partial record so the next append starts on
-		// a clean boundary.
-		if err := wal.Truncate(validEnd); err != nil {
-			return fmt.Errorf("store: truncate torn tail: %w", err)
+// walVisitor adapts fn to scanFrames for a log of mutation records: each
+// payload is decoded and generations must increase by exactly one from
+// record to record, anything else being ErrCorrupt. Records at or below the
+// snapshot generation are legal (a crash between snapshot rename and WAL
+// truncation leaves them) and are skipped by Replay, not here.
+func walVisitor(fn func(off int64, gen uint64, m Mutation) error) func(int64, []byte) error {
+	first, prevGen := true, uint64(0)
+	return func(off int64, payload []byte) error {
+		gen, m, err := decodeMutation(payload)
+		if err != nil {
+			return fmt.Errorf("%w: record at offset %d: %v", ErrCorrupt, off, err)
 		}
-		if err := wal.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
+		if !first && gen != prevGen+1 {
+			return fmt.Errorf("%w: generation %d follows %d at offset %d", ErrCorrupt, gen, prevGen, off)
 		}
+		first, prevGen = false, gen
+		return fn(off, gen, m)
 	}
-	if _, err := wal.Seek(validEnd, 0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	s.walBytes = validEnd
-	s.walRecords = records
-	if lastGen > s.lastGen {
-		s.lastGen = lastGen
-	}
-	return nil
 }
 
-// scanWAL walks the framed records in data, calling fn (when non-nil) for
-// each. It returns the byte offset after the last valid record, the record
-// count, and the last record's generation. A failure that plausibly ends the
-// file — short header, payload running past EOF, or a checksum mismatch on
-// the final record — is a torn tail: scanning stops at the last good offset
-// with no error. Anything else (bad checksum or undecodable payload with
-// more data following, a generation gap) returns ErrCorrupt.
-//
-// Generations must increase by exactly one from record to record; records at
-// or below snapGen are legal (a crash between snapshot rename and WAL
-// truncation leaves them) and are skipped by Replay, not by the scan.
-func scanWAL(data []byte, fn func(gen uint64, m Mutation) error) (validEnd int64, records int64, lastGen uint64, err error) {
-	off := 0
-	prevGen := uint64(0)
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < frameHeaderSize {
-			return int64(off), records, lastGen, nil // torn header
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if payloadLen > maxRecordBytes {
-			if off+frameHeaderSize+payloadLen >= len(data) {
-				return int64(off), records, lastGen, nil // torn or garbage tail
-			}
-			return 0, 0, 0, fmt.Errorf("%w: record at offset %d claims %d bytes", ErrCorrupt, off, payloadLen)
-		}
-		if rest < frameHeaderSize+payloadLen {
-			return int64(off), records, lastGen, nil // torn payload
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+payloadLen]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			if off+frameHeaderSize+payloadLen == len(data) {
-				// The final record: a crash can tear the payload bytes
-				// themselves, so a bad checksum at EOF is a torn tail.
-				return int64(off), records, lastGen, nil
-			}
-			return 0, 0, 0, fmt.Errorf("%w: record at offset %d fails checksum with %d bytes following",
-				ErrCorrupt, off, rest-frameHeaderSize-payloadLen)
-		}
-		gen, m, derr := decodeMutation(payload)
-		if derr != nil {
-			return 0, 0, 0, fmt.Errorf("%w: record at offset %d: %v", ErrCorrupt, off, derr)
-		}
-		if records > 0 && gen != prevGen+1 {
-			return 0, 0, 0, fmt.Errorf("%w: generation %d follows %d at offset %d", ErrCorrupt, gen, prevGen, off)
-		}
-		if fn != nil {
-			if err := fn(gen, m); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-		prevGen, lastGen = gen, gen
-		records++
-		off += frameHeaderSize + payloadLen
+// scan runs fn over the acknowledged WAL records in order and returns the
+// bytes it scanned.
+func (s *FileStore) scan(fn func(off int64, gen uint64, m Mutation) error) ([]byte, error) {
+	data, err := s.log.read()
+	if err != nil {
+		return nil, err
 	}
-	return int64(off), records, lastGen, nil
+	_, _, err = scanFrames(data, walVisitor(fn))
+	return data, err
 }
 
 // Append durably logs the mutation producing generation gen: the framed
@@ -188,19 +122,9 @@ func (s *FileStore) Append(gen uint64, m Mutation) error {
 	if gen != s.lastGen+1 {
 		return fmt.Errorf("store: append generation %d, want %d", gen, s.lastGen+1)
 	}
-	frame := appendFrame(nil, gen, m)
-	if _, err := s.wal.Write(frame); err != nil {
-		// A short write leaves a torn tail; roll it back eagerly so the
-		// running process stays usable (recovery would also truncate it).
-		_ = s.wal.Truncate(s.walBytes)
-		_, _ = s.wal.Seek(s.walBytes, 0)
+	if err := s.log.append(appendMutation(nil, gen, m)); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: append fsync: %w", err)
-	}
-	s.walBytes += int64(len(frame))
-	s.walRecords++
 	s.lastGen = gen
 	return nil
 }
@@ -212,14 +136,7 @@ func (s *FileStore) Replay(after uint64, fn func(gen uint64, m Mutation) error) 
 	if s.closed {
 		return ErrClosed
 	}
-	data, err := os.ReadFile(s.path(walName))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if int64(len(data)) > s.walBytes {
-		data = data[:s.walBytes]
-	}
-	_, _, _, err = scanWAL(data, func(gen uint64, m Mutation) error {
+	_, err := s.scan(func(_ int64, gen uint64, m Mutation) error {
 		if gen <= after {
 			return nil
 		}
@@ -253,63 +170,34 @@ func (s *FileStore) Snapshot(gen uint64, db *relation.Database) error {
 	if gen > s.lastGen {
 		s.lastGen = gen
 	}
-	return s.truncateWAL(gen)
+	if err := s.truncateWAL(gen); err != nil {
+		return fmt.Errorf("store: truncate wal: %w", err)
+	}
+	return nil
 }
 
 // truncateWAL drops records with generation <= upTo. The common case — the
 // snapshot covers the whole log — truncates in place; snapshotting behind
 // the log tail rewrites the retained suffix through a temp file.
 func (s *FileStore) truncateWAL(upTo uint64) error {
-	if upTo >= s.lastGen || s.walRecords == 0 {
-		if err := s.wal.Truncate(0); err != nil {
-			return fmt.Errorf("store: truncate wal: %w", err)
-		}
-		if _, err := s.wal.Seek(0, 0); err != nil {
-			return fmt.Errorf("store: truncate wal: %w", err)
-		}
-		if err := s.wal.Sync(); err != nil {
-			return fmt.Errorf("store: truncate wal: %w", err)
-		}
-		s.walBytes, s.walRecords = 0, 0
-		return nil
+	if upTo >= s.lastGen || s.log.records == 0 {
+		return s.log.truncateTo(0, 0)
 	}
-	data, err := os.ReadFile(s.path(walName))
-	if err != nil {
-		return fmt.Errorf("store: truncate wal: %w", err)
-	}
-	var retained []byte
-	var records int64
-	_, _, _, err = scanWAL(data[:s.walBytes], func(gen uint64, m Mutation) error {
+	// Generations only increase, so the retained records are a byte suffix.
+	from, kept := s.log.size, int64(0)
+	data, err := s.scan(func(off int64, gen uint64, _ Mutation) error {
 		if gen > upTo {
-			retained = appendFrame(retained, gen, m)
-			records++
+			if kept == 0 {
+				from = off
+			}
+			kept++
 		}
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("store: truncate wal: %w", err)
+		return err
 	}
-	if err := writeFileSync(s.path(walTmpName), retained); err != nil {
-		return fmt.Errorf("store: truncate wal: %w", err)
-	}
-	if err := os.Rename(s.path(walTmpName), s.path(walName)); err != nil {
-		return fmt.Errorf("store: truncate wal: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("store: truncate wal: %w", err)
-	}
-	wal, err := os.OpenFile(s.path(walName), os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: truncate wal: %w", err)
-	}
-	if _, err := wal.Seek(int64(len(retained)), 0); err != nil {
-		wal.Close()
-		return fmt.Errorf("store: truncate wal: %w", err)
-	}
-	s.wal.Close()
-	s.wal = wal
-	s.walBytes, s.walRecords = int64(len(retained)), records
-	return nil
+	return s.log.rewrite(data[from:], kept)
 }
 
 // TruncateAfter durably drops the WAL records with generation greater than
@@ -332,45 +220,23 @@ func (s *FileStore) TruncateAfter(gen uint64) error {
 	if s.snapGen > gen {
 		return fmt.Errorf("store: truncate after generation %d below snapshot %d", gen, s.snapGen)
 	}
-	data, err := os.ReadFile(s.path(walName))
-	if err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if int64(len(data)) > s.walBytes {
-		data = data[:s.walBytes]
-	}
-	// Re-encode the retained prefix to find its byte length: the encoding is
-	// canonical, so the re-encoded frames are identical to the bytes on disk
-	// and an in-place truncate at that offset keeps exactly records <= gen.
-	var (
-		retained []byte
-		records  int64
-		lastKept uint64
-	)
-	if _, _, _, err := scanWAL(data, func(g uint64, m Mutation) error {
+	// Generations only increase, so the kept records are a byte prefix.
+	cut, kept, lastKept := s.log.size, int64(0), uint64(0)
+	if _, err := s.scan(func(off int64, g uint64, _ Mutation) error {
 		if g <= gen {
-			retained = appendFrame(retained, g, m)
-			records++
+			kept++
 			lastKept = g
+		} else if off < cut {
+			cut = off
 		}
 		return nil
 	}); err != nil {
 		return fmt.Errorf("store: truncate after: %w", err)
 	}
-	if err := s.wal.Truncate(int64(len(retained))); err != nil {
+	if err := s.log.truncateTo(cut, kept); err != nil {
 		return fmt.Errorf("store: truncate after: %w", err)
 	}
-	if _, err := s.wal.Seek(int64(len(retained)), 0); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	s.walBytes, s.walRecords = int64(len(retained)), records
-	s.lastGen = s.snapGen
-	if records > 0 && lastKept > s.lastGen {
-		s.lastGen = lastKept
-	}
+	s.lastGen = max(s.snapGen, lastKept)
 	return nil
 }
 
@@ -401,8 +267,8 @@ func (s *FileStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		WALBytes:      s.walBytes,
-		WALRecords:    s.walRecords,
+		WALBytes:      s.log.size,
+		WALRecords:    s.log.records,
 		SnapshotGen:   s.snapGen,
 		SnapshotBytes: s.snapBytes,
 	}
@@ -417,7 +283,7 @@ func (s *FileStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.wal.Close()
+	return s.log.close()
 }
 
 // writeFileSync writes data to path and fsyncs the file before returning.

@@ -223,11 +223,11 @@ func TestOpenRemovesStaleTempFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapTmpName), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walTmpName), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walName+logTmpSuffix), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	mustOpen(t, dir)
-	for _, tmp := range []string{snapTmpName, walTmpName} {
+	for _, tmp := range []string{snapTmpName, walName + logTmpSuffix} {
 		if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
 			t.Fatalf("%s still present after Open", tmp)
 		}

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,25 +15,19 @@ import (
 // reaches this log was never acknowledged, so recovery truncates the shard
 // logs back to the newest vector found here.
 //
-// Records use the WAL framing ([u32 length][u32 CRC][payload]); the payload
+// It is a framedLog like the WAL, so recovery truncates a torn tail and
+// treats mid-log corruption as ErrCorrupt by the very same scan; the payload
 // is uvarint global generation, uvarint shard count, then one uvarint per
-// shard. Recovery truncates a torn tail exactly like the WAL does and treats
-// mid-log corruption as ErrCorrupt. Compact rewrites the file down to its
-// newest record (atomic temp-file rename), bounding growth at snapshot time.
+// shard. Compact rewrites the file down to its newest record (atomic
+// temp-file rename), bounding growth at snapshot time.
 type VectorLog struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
+	mu  sync.Mutex
+	log *framedLog
 
-	bytes   int64
-	records int64
 	lastGen uint64
 	lastVec []uint64
 	closed  bool
 }
-
-// vectorTmpSuffix names the transient compaction file next to the log.
-const vectorTmpSuffix = ".tmp"
 
 // OpenVectorLog opens (or creates) the vector log at path, truncating a torn
 // final record and failing with ErrCorrupt on mid-log corruption.
@@ -42,99 +35,34 @@ func OpenVectorLog(path string) (*VectorLog, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := os.Remove(path + vectorTmpSuffix); err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: remove stale %s: %w", filepath.Base(path)+vectorTmpSuffix, err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	v := &VectorLog{}
+	first := true
+	log, err := openFramedLog(path, func(off int64, payload []byte) error {
+		gen, vec, err := decodeVector(payload)
+		if err != nil {
+			return fmt.Errorf("%w: vector record at offset %d: %v", ErrCorrupt, off, err)
+		}
+		if !first && gen != v.lastGen+1 {
+			return fmt.Errorf("%w: vector generation %d follows %d at offset %d", ErrCorrupt, gen, v.lastGen, off)
+		}
+		first, v.lastGen, v.lastVec = false, gen, vec
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	v := &VectorLog{path: path, f: f}
-	if err := v.recover(); err != nil {
-		f.Close()
 		return nil, err
 	}
+	v.log = log
 	return v, nil
 }
 
-// recover scans the log, truncates a torn tail and primes the counters.
-func (v *VectorLog) recover() error {
-	data, err := os.ReadFile(v.path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	validEnd, records, lastGen, lastVec, err := scanVectors(data)
-	if err != nil {
-		return fmt.Errorf("store: %s: %w", filepath.Base(v.path), err)
-	}
-	if validEnd < int64(len(data)) {
-		if err := v.f.Truncate(validEnd); err != nil {
-			return fmt.Errorf("store: truncate torn tail: %w", err)
-		}
-		if err := v.f.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if _, err := v.f.Seek(validEnd, 0); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	v.bytes, v.records, v.lastGen, v.lastVec = validEnd, records, lastGen, lastVec
-	return nil
-}
-
-// scanVectors walks the framed vector records, applying the same torn-tail
-// versus mid-log-corruption distinction as scanWAL: a failure that reaches
-// end of file is a crash mid-append and stops the scan cleanly; anything
-// with valid-looking data behind it is ErrCorrupt.
-func scanVectors(data []byte) (validEnd int64, records int64, lastGen uint64, lastVec []uint64, err error) {
-	off := 0
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < frameHeaderSize {
-			return int64(off), records, lastGen, lastVec, nil // torn header
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if payloadLen > maxRecordBytes {
-			if off+frameHeaderSize+payloadLen >= len(data) {
-				return int64(off), records, lastGen, lastVec, nil
-			}
-			return 0, 0, 0, nil, fmt.Errorf("%w: vector record at offset %d claims %d bytes", ErrCorrupt, off, payloadLen)
-		}
-		if rest < frameHeaderSize+payloadLen {
-			return int64(off), records, lastGen, lastVec, nil // torn payload
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+payloadLen]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			if off+frameHeaderSize+payloadLen == len(data) {
-				return int64(off), records, lastGen, lastVec, nil // torn final payload
-			}
-			return 0, 0, 0, nil, fmt.Errorf("%w: vector record at offset %d fails checksum", ErrCorrupt, off)
-		}
-		gen, vec, derr := decodeVector(payload)
-		if derr != nil {
-			return 0, 0, 0, nil, fmt.Errorf("%w: vector record at offset %d: %v", ErrCorrupt, off, derr)
-		}
-		if records > 0 && gen != lastGen+1 {
-			return 0, 0, 0, nil, fmt.Errorf("%w: vector generation %d follows %d at offset %d", ErrCorrupt, gen, lastGen, off)
-		}
-		lastGen, lastVec = gen, vec
-		records++
-		off += frameHeaderSize + payloadLen
-	}
-	return int64(off), records, lastGen, lastVec, nil
-}
-
-// appendVectorFrame appends the framed record for (gen, vec) to dst.
-func appendVectorFrame(dst []byte, gen uint64, vec []uint64) []byte {
-	payload := binary.AppendUvarint(nil, gen)
-	payload = binary.AppendUvarint(payload, uint64(len(vec)))
+// appendVector appends the record payload for (gen, vec) to dst.
+func appendVector(dst []byte, gen uint64, vec []uint64) []byte {
+	dst = binary.AppendUvarint(dst, gen)
+	dst = binary.AppendUvarint(dst, uint64(len(vec)))
 	for _, g := range vec {
-		payload = binary.AppendUvarint(payload, g)
+		dst = binary.AppendUvarint(dst, g)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	return dst
 }
 
 // decodeVector parses a vector record payload.
@@ -169,20 +97,12 @@ func (v *VectorLog) Append(gen uint64, vec []uint64) error {
 	if v.closed {
 		return ErrClosed
 	}
-	if v.records > 0 && gen != v.lastGen+1 {
+	if v.log.records > 0 && gen != v.lastGen+1 {
 		return fmt.Errorf("store: vector generation %d, want %d", gen, v.lastGen+1)
 	}
-	frame := appendVectorFrame(nil, gen, vec)
-	if _, err := v.f.Write(frame); err != nil {
-		_ = v.f.Truncate(v.bytes)
-		_, _ = v.f.Seek(v.bytes, 0)
+	if err := v.log.append(appendVector(nil, gen, vec)); err != nil {
 		return fmt.Errorf("store: vector append: %w", err)
 	}
-	if err := v.f.Sync(); err != nil {
-		return fmt.Errorf("store: vector append fsync: %w", err)
-	}
-	v.bytes += int64(len(frame))
-	v.records++
 	v.lastGen = gen
 	v.lastVec = append([]uint64(nil), vec...)
 	return nil
@@ -193,7 +113,7 @@ func (v *VectorLog) Append(gen uint64, vec []uint64) error {
 func (v *VectorLog) Last() (gen uint64, vec []uint64, ok bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.records == 0 {
+	if v.log.records == 0 {
 		return 0, nil, false
 	}
 	return v.lastGen, append([]uint64(nil), v.lastVec...), true
@@ -208,30 +128,13 @@ func (v *VectorLog) Compact() error {
 	if v.closed {
 		return ErrClosed
 	}
-	if v.records <= 1 {
+	if v.log.records <= 1 {
 		return nil
 	}
-	frame := appendVectorFrame(nil, v.lastGen, v.lastVec)
-	if err := writeFileSync(v.path+vectorTmpSuffix, frame); err != nil {
+	frame := appendFrame(nil, appendVector(nil, v.lastGen, v.lastVec))
+	if err := v.log.rewrite(frame, 1); err != nil {
 		return fmt.Errorf("store: vector compact: %w", err)
 	}
-	if err := os.Rename(v.path+vectorTmpSuffix, v.path); err != nil {
-		return fmt.Errorf("store: vector compact: %w", err)
-	}
-	if err := syncDir(filepath.Dir(v.path)); err != nil {
-		return fmt.Errorf("store: vector compact: %w", err)
-	}
-	f, err := os.OpenFile(v.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: vector compact: %w", err)
-	}
-	if _, err := f.Seek(int64(len(frame)), 0); err != nil {
-		f.Close()
-		return fmt.Errorf("store: vector compact: %w", err)
-	}
-	v.f.Close()
-	v.f = f
-	v.bytes, v.records = int64(len(frame)), 1
 	return nil
 }
 
@@ -239,7 +142,7 @@ func (v *VectorLog) Compact() error {
 func (v *VectorLog) Stats() (bytes, records int64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.bytes, v.records
+	return v.log.size, v.log.records
 }
 
 // Close releases the file handle. Appended records are already durable.
@@ -250,5 +153,5 @@ func (v *VectorLog) Close() error {
 		return nil
 	}
 	v.closed = true
-	return v.f.Close()
+	return v.log.close()
 }

@@ -118,9 +118,11 @@ func TestCancellationMidStream(t *testing.T) {
 	}
 }
 
-// TestGoldenShimEquivalence pins the redesigned API to the legacy shim: for
-// every engine kind and ranking strategy, Search(ctx, Query) on the paper's
-// running example returns exactly the ranked results of Open + Search.
+// TestGoldenShimEquivalence pins the contract the removed Open/LegacyEngine
+// shim stood for: options frozen at construction (WithDefaults) and a bare
+// keyword query answer exactly like a default engine given the same options
+// per query — for every engine kind and ranking strategy, on the paper's
+// running example.
 func TestGoldenShimEquivalence(t *testing.T) {
 	engine, err := New(PaperExample())
 	if err != nil {
@@ -129,13 +131,13 @@ func TestGoldenShimEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, kind := range allEngineKinds {
 		for _, strategy := range []RankStrategy{RankRDBLength, RankERLength, RankCloseFirst, RankLoosenessPenalty, RankHubPenalty, RankCombined} {
-			legacy, err := Open(PaperExample(), Config{Engine: kind, Ranking: strategy, MaxJoins: 3})
+			frozen, err := New(PaperExample(), WithDefaults(Config{Engine: kind, Ranking: strategy, MaxJoins: 3}))
 			if err != nil {
-				t.Fatalf("Open(%s, %s): %v", kind, strategy, err)
+				t.Fatalf("New(%s, %s): %v", kind, strategy, err)
 			}
-			want, err := legacy.Search("Smith", "XML")
+			want, err := frozen.Search(ctx, Query{Keywords: []string{"Smith", "XML"}})
 			if err != nil {
-				t.Fatalf("legacy Search(%s, %s): %v", kind, strategy, err)
+				t.Fatalf("Search with frozen defaults (%s, %s): %v", kind, strategy, err)
 			}
 			got, err := engine.Search(ctx, Query{
 				Keywords: []string{"Smith", "XML"},
@@ -147,7 +149,7 @@ func TestGoldenShimEquivalence(t *testing.T) {
 				t.Fatalf("Search(%s, %s): %v", kind, strategy, err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: redesigned API diverges from the legacy shim:\n got %+v\nwant %+v", kind, strategy, got, want)
+				t.Errorf("%s/%s: per-query options diverge from the same options as defaults:\n got %+v\nwant %+v", kind, strategy, got, want)
 			}
 		}
 	}
@@ -365,25 +367,5 @@ func TestOptionOrderDoesNotMatter(t *testing.T) {
 		if !strings.Contains(rs[0].Connection, "e1") && !strings.Contains(rs[0].Connection, "e2") {
 			t.Errorf("labeler lost to option order: %q", rs[0].Connection)
 		}
-	}
-}
-
-// TestLegacyShimIsTheNewEngine checks that the deprecated facade exposes the
-// embedded context-aware engine, so migrating callers can mix styles.
-func TestLegacyShimIsTheNewEngine(t *testing.T) {
-	legacy, err := Open(PaperExample(), Config{MaxJoins: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := legacy.Search("Smith", "XML")
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := legacy.Engine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batch, modern) {
-		t.Error("legacy shim and embedded engine disagree")
 	}
 }

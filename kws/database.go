@@ -27,8 +27,7 @@
 // finishes, with Engine.Stream (callback) or Engine.Results (iterator);
 // streamed results arrive unranked, in discovery order. Additional search
 // engines and ranking strategies plug in through RegisterEngine and
-// RegisterRanker. The deprecated Open / LegacyEngine.Search shim keeps the
-// batch, frozen-configuration API of earlier releases compiling.
+// RegisterRanker.
 //
 // # Concurrency and batching
 //

@@ -120,7 +120,7 @@ func requireEngineEquivalent(t *testing.T, batch int, live *Engine, mirror *rela
 		t.Fatalf("batch %d: graph size %d nodes / %d edges, fresh %d / %d", batch,
 			lc.Graph.NodeCount(), lc.Graph.EdgeCount(), fc.Graph.NodeCount(), fc.Graph.EdgeCount())
 	}
-	if got, want := graphDump(lc.Graph), graphDump(fc.Graph); !reflect.DeepEqual(got, want) {
+	if got, want := graphDump(t, lc.Graph, lc.DB), graphDump(t, fc.Graph, fc.DB); !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch %d: graph adjacency diverged from fresh build", batch)
 	}
 
@@ -156,10 +156,21 @@ func requireEngineEquivalent(t *testing.T, batch int, live *Engine, mirror *rela
 	}
 }
 
-func graphDump(g *datagraph.Graph) map[relation.TupleID][]datagraph.Edge {
+// graphDump projects a graph into the string space through its read view:
+// the nodes must be exactly db's tuples, each mapped to its sorted adjacency.
+func graphDump(t testing.TB, g *datagraph.Graph, db *relation.Database) map[relation.TupleID][]datagraph.Edge {
+	t.Helper()
+	if g.NodeCount() != db.TupleCount() {
+		t.Fatalf("graph has %d nodes, its database %d tuples", g.NodeCount(), db.TupleCount())
+	}
 	out := make(map[relation.TupleID][]datagraph.Edge, g.NodeCount())
-	for _, id := range g.Nodes() {
-		out[id] = g.Neighbors(id)
+	for _, tab := range db.Tables() {
+		for _, tup := range tab.Tuples() {
+			if !g.Has(tup.ID()) {
+				t.Fatalf("tuple %v is not a node", tup.ID())
+			}
+			out[tup.ID()] = g.Neighbors(tup.ID())
+		}
 	}
 	return out
 }

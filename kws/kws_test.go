@@ -2,6 +2,7 @@ package kws
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -113,11 +114,11 @@ func TestDatabaseErrors(t *testing.T) {
 }
 
 func TestOpenAndSearchPaperExample(t *testing.T) {
-	engine, err := Open(PaperExample(), Config{Ranking: RankCloseFirst, MaxJoins: 3})
+	engine, err := New(PaperExample(), WithDefaults(Config{Ranking: RankCloseFirst, MaxJoins: 3}))
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	results, err := engine.Search("Smith", "XML")
+	results, err := engine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -159,11 +160,11 @@ func TestOpenAndSearchPaperExample(t *testing.T) {
 
 func TestSearchRankingStrategies(t *testing.T) {
 	for _, strategy := range []RankStrategy{RankRDBLength, RankERLength, RankCloseFirst, RankLoosenessPenalty, RankHubPenalty, RankCombined} {
-		engine, err := Open(PaperExample(), Config{Ranking: strategy, MaxJoins: 3})
+		engine, err := New(PaperExample(), WithDefaults(Config{Ranking: strategy, MaxJoins: 3}))
 		if err != nil {
-			t.Fatalf("Open(%s): %v", strategy, err)
+			t.Fatalf("New(%s): %v", strategy, err)
 		}
-		results, err := engine.Search("Smith", "XML")
+		results, err := engine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 		if err != nil {
 			t.Fatalf("Search(%s): %v", strategy, err)
 		}
@@ -173,8 +174,8 @@ func TestSearchRankingStrategies(t *testing.T) {
 	}
 	// ER length promotes connection 2 into the top ranks. The paper labels
 	// (w_f1, ...) are opt-in now, through the Labeler option.
-	engine, _ := Open(PaperExample(), Config{Ranking: RankERLength, MaxJoins: 3, Labeler: PaperLabeler()})
-	results, _ := engine.Search("Smith", "XML")
+	engine, _ := New(PaperExample(), WithDefaults(Config{Ranking: RankERLength, MaxJoins: 3, Labeler: PaperLabeler()}))
+	results, _ := engine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 	top3 := results[:3]
 	found := false
 	for _, r := range top3 {
@@ -189,27 +190,27 @@ func TestSearchRankingStrategies(t *testing.T) {
 
 func TestSearchEngineChoices(t *testing.T) {
 	// The MTJNT engine returns fewer answers than the paths engine.
-	pathsEngine, err := Open(PaperExample(), Config{Engine: EnginePaths, MaxJoins: 3})
+	pathsEngine, err := New(PaperExample(), WithDefaults(Config{Engine: EnginePaths, MaxJoins: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mtjntEngine, err := Open(PaperExample(), Config{Engine: EngineMTJNT, MaxJoins: 3})
+	mtjntEngine, err := New(PaperExample(), WithDefaults(Config{Engine: EngineMTJNT, MaxJoins: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	banksEngine, err := Open(PaperExample(), Config{Engine: EngineBANKS, MaxJoins: 3})
+	banksEngine, err := New(PaperExample(), WithDefaults(Config{Engine: EngineBANKS, MaxJoins: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := pathsEngine.Search("Smith", "XML")
+	pa, err := pathsEngine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma, err := mtjntEngine.Search("Smith", "XML")
+	ma, err := mtjntEngine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := banksEngine.Search("Smith", "XML")
+	ba, err := banksEngine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +233,11 @@ func TestSearchEngineChoices(t *testing.T) {
 }
 
 func TestSearchCustomDatabase(t *testing.T) {
-	engine, err := Open(bookstore(t), Config{MaxJoins: 3, Ranking: RankERLength})
+	engine, err := New(bookstore(t), WithDefaults(Config{MaxJoins: 3, Ranking: RankERLength}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := engine.Search("Codd", "relational")
+	results, err := engine.Search(context.Background(), Query{Keywords: []string{"Codd", "relational"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +265,11 @@ func TestSearchCustomDatabase(t *testing.T) {
 }
 
 func TestTopKAndMatchAndStats(t *testing.T) {
-	engine, err := Open(PaperExample(), Config{MaxJoins: 3, TopK: 2})
+	engine, err := New(PaperExample(), WithDefaults(Config{MaxJoins: 3, TopK: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := engine.Search("Smith", "XML")
+	results, err := engine.Search(context.Background(), Query{Keywords: []string{"Smith", "XML"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,23 +287,23 @@ func TestTopKAndMatchAndStats(t *testing.T) {
 }
 
 func TestOpenErrors(t *testing.T) {
-	if _, err := Open(nil, Config{}); err == nil {
-		t.Error("Open(nil) should fail")
+	if _, err := New(nil, WithDefaults(Config{})); err == nil {
+		t.Error("New(nil) should fail")
 	}
-	if _, err := Open(PaperExample(), Config{Ranking: "bogus"}); err == nil {
+	if _, err := New(PaperExample(), WithDefaults(Config{Ranking: "bogus"})); err == nil {
 		t.Error("unknown ranking should fail")
 	}
-	if _, err := Open(PaperExample(), Config{Engine: "bogus"}); err == nil {
+	if _, err := New(PaperExample(), WithDefaults(Config{Engine: "bogus"})); err == nil {
 		t.Error("unknown engine should fail")
 	}
-	engine, err := Open(PaperExample(), Config{})
+	engine, err := New(PaperExample(), WithDefaults(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Search(); err == nil {
+	if _, err := engine.Search(context.Background(), Query{}); err == nil {
 		t.Error("empty query should fail")
 	}
-	if _, err := engine.Search("nonexistentkeyword", "XML"); err == nil {
+	if _, err := engine.Search(context.Background(), Query{Keywords: []string{"nonexistentkeyword", "XML"}}); err == nil {
 		t.Error("unmatched keyword should fail under AND semantics")
 	}
 }
@@ -312,7 +313,7 @@ func TestSyntheticCompanyFixture(t *testing.T) {
 	if db.TupleCount() == 0 {
 		t.Fatal("synthetic database is empty")
 	}
-	engine, err := Open(db, Config{MaxJoins: 3, DisableInstanceChecks: true})
+	engine, err := New(db, WithDefaults(Config{MaxJoins: 3, DisableInstanceChecks: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/relation"
 )
 
@@ -367,20 +368,32 @@ func TestApplyRefreshesAnalyzerBinding(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	// t1 - e3 - t3 hangs two dependents off the hub e3, which now has three:
+	// a graph of the old generation has no t3 to walk to, and an analyzer
+	// bound to the old database would count two.
 	snap := e.current()
-	if snap.comp.Analyzer.Database() != snap.comp.DB {
-		t.Fatal("analyzer of the new generation is bound to a stale database")
+	dep := func(key string) relation.TupleID { return relation.TupleID{Relation: "DEPENDENT", Key: key} }
+	conns, err := core.EnumerateConnectionsContext(context.Background(), snap.comp.Graph, dep("t1"), dep("t3"), 2)
+	if err != nil || len(conns) != 1 {
+		t.Fatalf("connections t1..t3 in the new generation's graph = %v, %v; want one", conns, err)
 	}
-	if snap.comp.Graph.Database() != snap.comp.DB {
-		t.Fatal("graph of the new generation is bound to a stale database")
+	an, err := snap.comp.Analyzer.Analyze(conns[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(an.Hubs) != 1 || an.Hubs[0].LeftCount != 3 || an.Hubs[0].RightCount != 3 {
+		t.Fatalf("hub statistics of e3 = %+v, want 3 dependents on either side: analyzer bound to a stale database", an.Hubs)
 	}
 	if got := e.Match("Ada"); len(got) != 1 {
 		t.Fatalf("Match(Ada) = %v", got)
 	}
 }
 
+// TestLegacyEngineServesLiveGenerations: an engine configured once at
+// construction — what the removed LegacyEngine was — serves the generations
+// Apply publishes like any other.
 func TestLegacyEngineServesLiveGenerations(t *testing.T) {
-	le, err := Open(PaperExample(), Config{Labeler: PaperLabeler()})
+	le, err := New(PaperExample(), WithDefaults(Config{Labeler: PaperLabeler()}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +402,12 @@ func TestLegacyEngineServesLiveGenerations(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := le.Search("Turing")
+	res, err := le.Search(context.Background(), Query{Keywords: []string{"Turing"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) == 0 {
-		t.Fatal("legacy Search does not see the applied mutation")
+		t.Fatal("Search does not see the applied mutation")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/search/banks"
 	"repro/internal/search/mtjnt"
@@ -16,8 +17,9 @@ const banksRawCap = 100
 
 // annotate turns a plain connection into a fully analysed answer: the
 // close/loose analysis (with instance corroboration when enabled), the
-// per-tuple keyword matches and the TF-IDF content score.
-func (c Components) annotate(ctx context.Context, conn core.Connection, matched map[relation.TupleID][]string, keywords []string, instanceChecks bool) (Answer, error) {
+// per-tuple keyword matches and the TF-IDF content score from the stream's
+// scorer (one per query, so the keywords are tokenized once, not per tuple).
+func (c Components) annotate(ctx context.Context, conn core.Connection, matched map[relation.TupleID][]string, scorer *index.Scorer, instanceChecks bool) (Answer, error) {
 	var (
 		an  core.Analysis
 		err error
@@ -36,7 +38,7 @@ func (c Components) annotate(ctx context.Context, conn core.Connection, matched 
 		if kws := matched[t]; len(kws) > 0 {
 			copied[t] = append([]string(nil), kws...)
 		}
-		content += c.Index.ContentScore(t, keywords)
+		content += scorer.Score(t)
 	}
 	return Answer{Connection: conn, Analysis: an, Matches: copied, ContentScore: content}, nil
 }
@@ -85,10 +87,11 @@ func newMTJNTSearcher(c Components) (Searcher, error) {
 // Stream implements Searcher: networks stream out of the minimal-total
 // filter and are annotated one by one.
 func (s mtjntSearcher) Stream(ctx context.Context, q Query, yield func(Answer) bool) error {
+	scorer := s.comp.Index.NewScorer(q.Keywords)
 	var annErr error
 	err := s.engine.Stream(ctx, q.Keywords, mtjnt.Options{MaxEdges: q.MaxJoins}, func(n mtjnt.Network) bool {
 		var a Answer
-		a, annErr = s.comp.annotate(ctx, n.Connection, n.Matches, q.Keywords, q.InstanceChecks == ToggleOn)
+		a, annErr = s.comp.annotate(ctx, n.Connection, n.Matches, scorer, q.InstanceChecks == ToggleOn)
 		if annErr != nil {
 			return false
 		}
@@ -120,6 +123,7 @@ func newBANKSSearcher(c Components) (Searcher, error) {
 // expansion, filtered to path shapes and annotated as they emerge.
 func (s banksSearcher) Stream(ctx context.Context, q Query, yield func(Answer) bool) error {
 	opts := banks.Options{MaxDepth: q.MaxJoins, MaxResults: banksRawCap, Parallelism: q.Parallelism}
+	scorer := s.comp.Index.NewScorer(q.Keywords)
 	var annErr error
 	err := s.engine.Stream(ctx, q.Keywords, opts, func(t banks.Tree) bool {
 		conn, ok := t.AsConnection()
@@ -134,7 +138,7 @@ func (s banksSearcher) Stream(ctx context.Context, q Query, yield func(Answer) b
 			conn = c
 		}
 		var a Answer
-		a, annErr = s.comp.annotate(ctx, conn, t.Matches, q.Keywords, q.InstanceChecks == ToggleOn)
+		a, annErr = s.comp.annotate(ctx, conn, t.Matches, scorer, q.InstanceChecks == ToggleOn)
 		if annErr != nil {
 			return false
 		}

@@ -218,7 +218,7 @@ func requireShardStateMatchesMirror(t *testing.T, batch, n int, e *Engine, mirro
 		tuples := symtab.ForDatabase(ref)
 		refGraph := datagraph.BuildParallelWith(ref, tuples, 1)
 		refIdx := index.BuildParallelWith(ref, tuples, 1)
-		if got, want := graphDump(part.Graph), graphDump(refGraph); !reflect.DeepEqual(got, want) {
+		if got, want := graphDump(t, part.Graph, ref), graphDump(t, refGraph, ref); !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch %d shards=%d: shard %d graph diverged from fresh partition build", batch, n, s)
 		}
 		if part.Index.DocCount() != refIdx.DocCount() || part.Index.TermCount() != refIdx.TermCount() {

@@ -55,7 +55,7 @@ func requireRecoveredEquivalent(t *testing.T, batch int, recovered *Engine, mirr
 		t.Fatalf("batch %d: graph size %d nodes / %d edges, fresh %d / %d", batch,
 			lc.Graph.NodeCount(), lc.Graph.EdgeCount(), fc.Graph.NodeCount(), fc.Graph.EdgeCount())
 	}
-	if got, want := graphDump(lc.Graph), graphDump(fc.Graph); !reflect.DeepEqual(got, want) {
+	if got, want := graphDump(t, lc.Graph, lc.DB), graphDump(t, fc.Graph, fc.DB); !reflect.DeepEqual(got, want) {
 		t.Fatalf("batch %d: graph adjacency diverged from fresh build", batch)
 	}
 	if lc.Index.DocCount() != fc.Index.DocCount() || lc.Index.TermCount() != fc.Index.TermCount() {
