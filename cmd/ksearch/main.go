@@ -92,10 +92,17 @@ func main() {
 // run executes one search — locally or against a kwsd server — writing
 // results to stdout and hints to stderr.
 func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
-	if cfg.remote != "" {
-		return runRemote(ctx, cfg, stdout, stderr)
+	query := kws.Query{
+		Keywords: cfg.keywords,
+		Engine:   cfg.engine,
+		Ranking:  cfg.rank,
+		MaxJoins: cfg.maxJoins,
+		TopK:     cfg.topK,
 	}
-	return runLocal(ctx, cfg, stdout, stderr)
+	if cfg.remote != "" {
+		return runRemote(ctx, cfg, query, stdout, stderr)
+	}
+	return runLocal(ctx, cfg, query, stdout, stderr)
 }
 
 // noAnswersHint tells the user how to widen a search that came back empty:
@@ -105,7 +112,7 @@ func noAnswersHint(stderr io.Writer, maxJoins int) {
 	fmt.Fprintf(stderr, "no answers (try -maxjoins %d)\n", maxJoins+1)
 }
 
-func runLocal(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
+func runLocal(ctx context.Context, cfg config, query kws.Query, stdout, stderr io.Writer) error {
 	var (
 		db      *kws.Database
 		labeler kws.Labeler
@@ -127,13 +134,6 @@ func runLocal(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "database: %s (%d relations, %d tuples, %d join edges)\n", cfg.database, rels, tuples, edges)
 	fmt.Fprintf(stdout, "query: %v  engine: %s  ranking: %s  budget: %d joins\n\n", cfg.keywords, cfg.engine, cfg.rank, cfg.maxJoins)
 
-	query := kws.Query{
-		Keywords: cfg.keywords,
-		Engine:   cfg.engine,
-		Ranking:  cfg.rank,
-		MaxJoins: cfg.maxJoins,
-		TopK:     cfg.topK,
-	}
 	if cfg.stream {
 		n := 0
 		err := e.Stream(ctx, query, func(r kws.Result) bool {
@@ -167,14 +167,8 @@ func runLocal(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 
 // runRemote sends the query to a kwsd server, speaking the wire format of
 // docs/http-api.md, and prints the results exactly like a local run.
-func runRemote(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
-	q := httpapi.QueryRequest{
-		Keywords: cfg.keywords,
-		Engine:   string(cfg.engine),
-		Ranking:  string(cfg.rank),
-		MaxJoins: cfg.maxJoins,
-		TopK:     cfg.topK,
-	}
+func runRemote(ctx context.Context, cfg config, query kws.Query, stdout, stderr io.Writer) error {
+	q := httpapi.FromQuery(query)
 	body, err := json.Marshal(httpapi.SearchRequest{Query: &q, Stream: cfg.stream})
 	if err != nil {
 		return err

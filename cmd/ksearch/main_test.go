@@ -143,34 +143,51 @@ func newRemote(t *testing.T) string {
 	return ts.URL
 }
 
+// resultLines returns the ranked result block of a ksearch run: everything
+// after the two header lines, minus the remote-only generation trailer.
+func resultLines(out string) string {
+	_, body, _ := strings.Cut(out, "\n\n")
+	if i := strings.Index(body, "\n(generation "); i >= 0 {
+		body = body[:i]
+	}
+	return body
+}
+
 // TestRunRemote: -remote speaks the kwsd wire format and prints the same
-// result lines a local run would.
+// result lines a local run would, for default and non-default query flags —
+// a flag the wire mapping dropped would change the remote block.
 func TestRunRemote(t *testing.T) {
 	url := newRemote(t)
 	ctx := context.Background()
 
-	local, _, err := runCapture(t, ctx, paperConfig("Smith", "XML"))
-	if err != nil {
-		t.Fatal(err)
+	cases := map[string]func(*config){
+		"defaults":        func(*config) {},
+		"topk+ranking":    func(c *config) { c.topK, c.rank = 3, kws.RankRDBLength },
+		"engine+maxjoins": func(c *config) { c.engine, c.maxJoins, c.verbose = kws.EngineBANKS, 4, true },
 	}
-	cfg := paperConfig("Smith", "XML")
-	cfg.remote = url
-	remote, _, err := runCapture(t, ctx, cfg)
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
-	for _, line := range strings.Split(local, "\n") {
-		if strings.Contains(line, "len(RDB)") || strings.Contains(line, ". ") {
-			if !strings.Contains(remote, line) {
-				t.Errorf("remote output missing local line %q\nremote:\n%s", line, remote)
-			}
+	for name, tweak := range cases {
+		cfg := paperConfig("Smith", "XML")
+		tweak(&cfg)
+		local, _, err := runCapture(t, ctx, cfg)
+		if err != nil {
+			t.Fatalf("%s: local run: %v", name, err)
+		}
+		cfg.remote = url
+		remote, _, err := runCapture(t, ctx, cfg)
+		if err != nil {
+			t.Fatalf("%s: remote run: %v", name, err)
+		}
+		if got, want := resultLines(remote), resultLines(local); got != want || want == "" {
+			t.Errorf("%s: remote results differ from local\nlocal:\n%s\nremote:\n%s", name, want, got)
+		}
+		if !strings.Contains(remote, "(generation 0, cached: false)") {
+			t.Errorf("%s: remote output missing generation line:\n%s", name, remote)
 		}
 	}
-	if !strings.Contains(remote, "generation 0") {
-		t.Errorf("remote output missing generation line:\n%s", remote)
-	}
 
-	// Second identical query is served from the server's cache.
+	// A repeated identical query is served from the server's cache.
+	cfg := paperConfig("Smith", "XML")
+	cfg.remote = url
 	remote2, _, err := runCapture(t, ctx, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -55,8 +55,8 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 var smithXML = QueryRequest{Keywords: []string{"Smith", "XML"}, MaxJoins: 3}
 
 // TestFromQueryRoundTrips pins FromQuery as the inverse of ToQuery for every
-// wire-representable field, so remote clients built on it (kws-bench) send
-// exactly the query they were handed.
+// wire-representable field, so remote clients built on it (ksearch -remote)
+// send exactly the query they were handed.
 func TestFromQueryRoundTrips(t *testing.T) {
 	q := kws.Query{
 		Keywords:        []string{"Smith", "XML"},

@@ -57,8 +57,8 @@ func (q QueryRequest) ToQuery() kws.Query {
 }
 
 // FromQuery converts an engine query to its wire form; it is the inverse of
-// ToQuery and lives here so clients (ksearch -remote, kws-bench) never
-// re-spell the field mapping. The Labeler and Parallelism fields have no
+// ToQuery and lives here so clients (ksearch -remote) never re-spell the
+// field mapping. The Labeler and Parallelism fields have no
 // wire form: rendering and concurrency belong to the server.
 func FromQuery(q kws.Query) QueryRequest {
 	out := QueryRequest{

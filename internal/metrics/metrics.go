@@ -45,7 +45,7 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Memory gauge names fed by SampleMemStats. They are part of the export
-// schema (/v1/stats and the kws-bench report embed them by name).
+// schema (/v1/stats reads them by name).
 const (
 	GaugeHeapAllocBytes = "mem_heap_alloc_bytes"  // bytes of live heap (runtime.MemStats.HeapAlloc)
 	GaugeHeapObjects    = "mem_heap_objects"      // live heap objects (runtime.MemStats.HeapObjects)
@@ -54,8 +54,8 @@ const (
 )
 
 // SampleMemStats reads runtime.MemStats once and stores the memory gauges in
-// the registry. Call it on demand (a stats request, the end of a bench run)
-// rather than on a timer: ReadMemStats briefly stops the world.
+// the registry. Call it on demand (a stats request) rather than on a timer:
+// ReadMemStats briefly stops the world.
 func SampleMemStats(r *Registry) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -175,8 +175,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // HistogramSnapshot is a point-in-time summary of a histogram. Its JSON
-// field names are a stable export schema shared by /v1/stats and the
-// kws-bench report writer — renaming one is a wire-format break.
+// field names are a stable export schema — renaming one breaks whatever
+// embeds a marshalled snapshot.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -261,7 +261,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 
 // Snapshot is a point-in-time export of a whole registry. It marshals to
 // stable JSON (instrument names as object keys), so a stats endpoint or a
-// benchmark report can embed it directly instead of hand-rolling maps.
+// report can embed it directly instead of hand-rolling maps.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`

@@ -127,8 +127,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 }
 
 // TestSnapshotJSONStable pins the export schema: the JSON field names of a
-// registry snapshot are shared by /v1/stats and the kws-bench report, so a
-// rename here is a wire-format break that must fail a test.
+// registry snapshot are a stable export schema, so a rename here is a
+// format break that must fail a test.
 func TestSnapshotJSONStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ops").Add(2)

@@ -237,25 +237,3 @@ func MustGenerateLogs(cfg LogsConfig) *relation.Database {
 	}
 	return db
 }
-
-// LogQueries generates n two-keyword queries over the log vocabulary:
-// severity+operation, service+region and operation+outcome pairs, the shapes
-// a log-search user types. Matches exist at every scale because events draw
-// from the same lists.
-func LogQueries(n int, seed int64) []Query {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Query, 0, n)
-	for i := 0; i < n; i++ {
-		var kw []string
-		switch rng.Intn(3) {
-		case 0:
-			kw = []string{logSeverities[rng.Intn(len(logSeverities))], logOperations[rng.Intn(len(logOperations))]}
-		case 1:
-			kw = []string{logServices[rng.Intn(len(logServices))], logRegions[rng.Intn(len(logRegions))]}
-		default:
-			kw = []string{logOperations[rng.Intn(len(logOperations))], logOutcomes[rng.Intn(len(logOutcomes))]}
-		}
-		out = append(out, Query{Keywords: kw})
-	}
-	return out
-}

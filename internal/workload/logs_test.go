@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -65,23 +64,6 @@ func TestGenerateLogsShape(t *testing.T) {
 	junction, _ := db.Table("EVENT_INCIDENT")
 	if !junction.Schema().IsJunction() {
 		t.Error("EVENT_INCIDENT schema not recognized as a junction")
-	}
-}
-
-func TestLogQueriesDeterministic(t *testing.T) {
-	a := LogQueries(50, 7)
-	b := LogQueries(50, 7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different log query streams")
-	}
-	c := LogQueries(50, 8)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical log query streams")
-	}
-	for i, q := range a {
-		if len(q.Keywords) != 2 {
-			t.Fatalf("query %d has %d keywords, want 2", i, len(q.Keywords))
-		}
 	}
 }
 
