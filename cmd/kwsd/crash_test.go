@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -49,14 +48,14 @@ func (b *bootLog) String() string {
 // bootChild re-executes the test binary as a durable kwsd on the paper
 // database (see TestMain) and returns its base URL and a kill that SIGKILLs
 // it and waits for it to be gone. The test's cleanup kills it too.
-func bootChild(t *testing.T, shards int, dataDir string) (base string, kill func()) {
+func bootChild(t *testing.T, dataDir string) (base string, kill func()) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe, "-addr", "127.0.0.1:0", "-db", "paper", "-scale", "2",
-		"-shards", strconv.Itoa(shards), "-data-dir", dataDir, "-snapshot-every", "8")
+		"-data-dir", dataDir, "-snapshot-every", "8")
 	cmd.Env = append(os.Environ(), childEnv+"=1")
 	log := &bootLog{addr: make(chan string, 1)}
 	cmd.Stderr = log
@@ -138,102 +137,93 @@ func marshal(t *testing.T, v any) string {
 // it on the same data directory and checks that nothing acknowledged was
 // lost: the recovered generation covers every acked batch, and its search
 // output equals an in-process twin advanced by exactly that many batches.
+// The server runs on one store; the subtest keeps its established name.
 func TestSIGKILLRecovery(t *testing.T) {
+	t.Run("shards=1", sigkillRecovery)
+}
+
+func sigkillRecovery(t *testing.T) {
 	// The kill races the post of this batch: after two snapshots
 	// (-snapshot-every 8) and the first deletes (batch 17 on), with the
 	// writer still posting.
 	const killAt = 20
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dataDir := t.TempDir()
-			base, kill := bootChild(t, shards, dataDir)
+	dataDir := t.TempDir()
+	base, kill := bootChild(t, dataDir)
 
-			// One sequential writer: batch i publishes generation i, and it
-			// stops at the first failed post.
-			var acked uint64
-			reached := make(chan struct{})
-			stopped := make(chan struct{})
-			go func() {
-				defer close(stopped)
-				for i := 1; ; i++ {
-					if i == killAt {
-						close(reached)
-					}
-					gen, err := mutate(base, crashBatch(i))
-					if err != nil {
-						return
-					}
-					if gen != uint64(i) {
-						t.Errorf("batch %d published generation %d", i, gen)
-						return
-					}
-					acked = gen
-				}
-			}()
-			select {
-			case <-reached:
-			case <-stopped:
-				t.Fatalf("writer stopped before batch %d", killAt)
-			case <-time.After(30 * time.Second):
-				t.Fatalf("writer never reached batch %d", killAt)
+	// One sequential writer: batch i publishes generation i, and it
+	// stops at the first failed post.
+	var acked uint64
+	reached := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 1; ; i++ {
+			if i == killAt {
+				close(reached)
 			}
-			kill()
-			<-stopped
-
-			base, _ = bootChild(t, shards, dataDir)
-			st := stats(t, base)
-			g := st.Generation
-			// The batch in flight at the kill may have reached the log
-			// without its response reaching the writer.
-			if g != acked && g != acked+1 {
-				t.Fatalf("recovered generation %d, want acked %d or %d", g, acked, acked+1)
-			}
-			if st.Persistence == nil {
-				t.Error("durable server omitted the persistence block")
-			}
-			if shards > 1 {
-				if len(st.GenerationVector) != shards || len(st.Shards) != shards {
-					t.Fatalf("recovered %d shard blocks, vector %v; want %d", len(st.Shards), st.GenerationVector, shards)
-				}
-				for i, b := range st.Shards {
-					if st.GenerationVector[i] != b.Generation {
-						t.Errorf("vector %v disagrees with shard %d block generation %d", st.GenerationVector, i, b.Generation)
-					}
-				}
-			}
-
-			twin, err := buildEngine("paper", 2, 1, 0)
+			gen, err := mutate(base, crashBatch(i))
 			if err != nil {
+				return
+			}
+			if gen != uint64(i) {
+				t.Errorf("batch %d published generation %d", i, gen)
+				return
+			}
+			acked = gen
+		}
+	}()
+	select {
+	case <-reached:
+	case <-stopped:
+		t.Fatalf("writer stopped before batch %d", killAt)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("writer never reached batch %d", killAt)
+	}
+	kill()
+	<-stopped
+
+	base, _ = bootChild(t, dataDir)
+	st := stats(t, base)
+	g := st.Generation
+	// The batch in flight at the kill may have reached the log
+	// without its response reaching the writer.
+	if g != acked && g != acked+1 {
+		t.Fatalf("recovered generation %d, want acked %d or %d", g, acked, acked+1)
+	}
+	if st.Persistence == nil {
+		t.Error("durable server omitted the persistence block")
+	}
+
+	twin, err := buildEngine("paper", 2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := twinResults(t, twin)
+	for i := 1; uint64(i) <= g; i++ {
+		ops := crashBatch(i)
+		m := kws.Mutation{Ops: make([]kws.Op, len(ops))}
+		for j, o := range ops {
+			if m.Ops[j], err = o.ToOp(); err != nil {
 				t.Fatal(err)
 			}
-			seed := twinResults(t, twin)
-			for i := 1; uint64(i) <= g; i++ {
-				ops := crashBatch(i)
-				m := kws.Mutation{Ops: make([]kws.Op, len(ops))}
-				for j, o := range ops {
-					if m.Ops[j], err = o.ToOp(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, err := twin.Apply(context.Background(), m); err != nil {
-					t.Fatalf("twin batch %d: %v", i, err)
-				}
-			}
-			want := twinResults(t, twin)
-			changed := false
-			for i, p := range crashProbes {
-				sr := search(t, base, p)
-				if sr.Generation != g {
-					t.Errorf("probe %v answered at generation %d, want %d", p.Keywords, sr.Generation, g)
-				}
-				if got := marshal(t, sr.Results); got != want[i] {
-					t.Errorf("probe %v differs from the twin at generation %d:\nserver: %s\ntwin:   %s", p.Keywords, g, got, want[i])
-				}
-				changed = changed || want[i] != seed[i]
-			}
-			if !changed {
-				t.Error("no probe changed between generation 0 and the recovered generation: the write load was empty")
-			}
-		})
+		}
+		if _, err := twin.Apply(context.Background(), m); err != nil {
+			t.Fatalf("twin batch %d: %v", i, err)
+		}
+	}
+	want := twinResults(t, twin)
+	changed := false
+	for i, p := range crashProbes {
+		sr := search(t, base, p)
+		if sr.Generation != g {
+			t.Errorf("probe %v answered at generation %d, want %d", p.Keywords, sr.Generation, g)
+		}
+		if got := marshal(t, sr.Results); got != want[i] {
+			t.Errorf("probe %v differs from the twin at generation %d:\nserver: %s\ntwin:   %s", p.Keywords, g, got, want[i])
+		}
+		changed = changed || want[i] != seed[i]
+	}
+	if !changed {
+		t.Error("no probe changed between generation 0 and the recovered generation: the write load was empty")
 	}
 }

@@ -7,20 +7,12 @@
 //	kwsd -db synthetic -scale 4 -addr :9000
 //	kwsd -max-inflight 128 -timeout 5s -cache-bytes 134217728
 //	kwsd -data-dir /var/lib/kwsd           # durable: WAL + snapshots
-//	kwsd -shards 4                         # sharded scatter-gather engine
 //
 // With -data-dir the server persists every acknowledged mutation to a
 // write-ahead log and snapshots the relational state every -snapshot-every
 // generations; on boot it recovers the newest durable generation instead of
 // starting over from the seed database. Without -data-dir nothing touches
 // disk and a restart serves the seed data again.
-//
-// With -shards N (N > 1) the engine partitions its tuple graph and inverted
-// index into N shards and answers searches by scatter-gather — byte-identical
-// output, concurrent commits for mutation batches that touch disjoint
-// shards. Combined with -data-dir each shard keeps its own WAL and snapshot
-// under per-shard subdirectories, and /v1/stats grows a per-shard block; the
-// shard count of a durable directory is fixed at first boot.
 //
 // Endpoints (see docs/http-api.md for the full wire reference):
 //
@@ -44,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"time"
 
 	"repro/internal/httpapi"
@@ -65,12 +58,11 @@ func main() {
 		cacheShards = flag.Int("cache-shards", 16, "result cache shard count")
 		dataDir     = flag.String("data-dir", "", "directory for the WAL and snapshots; empty serves memory-only")
 		snapEvery   = flag.Int("snapshot-every", 64, "generations between automatic snapshots (0 disables; WAL still grows)")
-		shards      = flag.Int("shards", 1, "shard count for the scatter-gather engine (1 = unsharded)")
 	)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, *addr, *database, *scale, *seed, *parallelism, *shards, *dataDir, *snapEvery, httpapi.Options{
+	if err := run(ctx, *addr, *database, *scale, *seed, *parallelism, *dataDir, *snapEvery, httpapi.Options{
 		MaxInFlight: *maxInFlight,
 		Timeout:     *timeout,
 		CacheBytes:  *cacheBytes,
@@ -113,28 +105,22 @@ func buildEngine(database string, scale int, seed int64, parallelism int, extra 
 // durably: recovery before serving, WAL appends per mutation, a final
 // checkpoint on graceful shutdown. If ready is non-nil it receives the bound
 // address once the listener is up (used by tests and :0 listens).
-func run(ctx context.Context, addr, database string, scale int, seed int64, parallelism, shards int, dataDir string, snapshotEvery int, opts httpapi.Options, ready chan<- string) error {
+func run(ctx context.Context, addr, database string, scale int, seed int64, parallelism int, dataDir string, snapshotEvery int, opts httpapi.Options, ready chan<- string) error {
 	var engineOpts []kws.Option
-	durable := false
-	switch {
-	case dataDir != "" && shards > 1:
-		ss, err := kws.OpenShardedStore(dataDir, shards)
-		if err != nil {
-			return err
+	durable := dataDir != ""
+	if durable {
+		// A sharded data layout keeps its data under shard-N/ with no root
+		// WAL: opening it as a store would serve the seed and silently drop
+		// every acknowledged mutation.
+		if _, err := os.Stat(filepath.Join(dataDir, "meta", "vector.log")); err == nil {
+			return fmt.Errorf("%s holds a sharded data layout (meta/vector.log), which kwsd cannot serve", dataDir)
 		}
-		defer ss.Close()
-		durable = true
-		engineOpts = append(engineOpts, kws.WithShardStores(ss), kws.WithSnapshotEvery(snapshotEvery))
-	case dataDir != "":
 		st, err := store.Open(dataDir)
 		if err != nil {
 			return err
 		}
 		defer st.Close()
-		durable = true
 		engineOpts = append(engineOpts, kws.WithStore(st), kws.WithSnapshotEvery(snapshotEvery))
-	case shards > 1:
-		engineOpts = append(engineOpts, kws.WithShards(shards))
 	}
 	engine, err := buildEngine(database, scale, seed, parallelism, engineOpts...)
 	if err != nil {
@@ -145,9 +131,6 @@ func run(ctx context.Context, addr, database string, scale int, seed int64, para
 		log.Printf("kwsd: recovered generation %d from %s (snapshot generation %d, %d WAL records replayed in %s)",
 			engine.Generation(), dataDir, ps.SnapshotGeneration, ps.ReplayedRecords,
 			ps.ReplayDuration.Round(time.Millisecond))
-	}
-	if v := engine.GenerationVector(); v != nil {
-		log.Printf("kwsd: sharded engine: %d shards, generation vector %v", shards, v)
 	}
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,13 +31,13 @@ func TestMain(m *testing.M) {
 
 // bootRun starts run() in this process on an ephemeral port and returns its
 // base URL plus a shutdown that cancels it and waits for a clean drain.
-func bootRun(t *testing.T, shards int, dataDir string) (base string, shutdown func()) {
+func bootRun(t *testing.T, dataDir string) (base string, shutdown func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, shards, dataDir, 0, httpapi.Options{}, ready)
+		done <- run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, dataDir, 0, httpapi.Options{}, ready)
 	}()
 	select {
 	case addr := <-ready:
@@ -142,7 +144,7 @@ func TestBuildEngine(t *testing.T) {
 // exercises the search/mutate/stats cycle over HTTP, and checks that
 // cancelling the context drains it.
 func TestRunServesAndShutsDown(t *testing.T) {
-	base, shutdown := bootRun(t, 1, "")
+	base, shutdown := bootRun(t, "")
 
 	if first := search(t, base, smithXML); first.Cached || len(first.Results) == 0 {
 		t.Errorf("first search = cached %v, %d results", first.Cached, len(first.Results))
@@ -162,60 +164,71 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	shutdown()
 }
 
-// TestRunPersistsAcrossRestart boots a durable server (plain and -shards 2),
-// mutates it, shuts it down, boots a second server over the same data
-// directory and checks the mutation survived: same generation, same search
-// output, same generation vector, and a stats persistence block describing
-// the recovery.
+// TestRunPersistsAcrossRestart boots a durable server, mutates it, shuts it
+// down, boots a second server over the same data directory and checks the
+// mutation survived: same generation, same search output, and a stats
+// persistence block describing the recovery. The server runs on one store;
+// the subtest keeps its established name.
 func TestRunPersistsAcrossRestart(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dataDir := t.TempDir()
-			// An unsharded server reports no vector and no shard blocks.
-			wantBlocks := 0
-			if shards > 1 {
-				wantBlocks = shards
-			}
+	t.Run("shards=1", runPersistsAcrossRestart)
+}
 
-			base, shutdown := bootRun(t, shards, dataDir)
-			if _, err := mutate(base, deleteT2); err != nil {
-				t.Fatal(err)
-			}
-			before := search(t, base, smithXML)
-			if before.Generation != 1 {
-				t.Fatalf("generation before restart = %d, want 1", before.Generation)
-			}
-			beforeStats := stats(t, base)
-			if len(beforeStats.Shards) != wantBlocks || len(beforeStats.GenerationVector) != wantBlocks {
-				t.Fatalf("server reports %d shard blocks, vector %v; want %d",
-					len(beforeStats.Shards), beforeStats.GenerationVector, wantBlocks)
-			}
-			shutdown()
+func runPersistsAcrossRestart(t *testing.T) {
+	dataDir := t.TempDir()
+	base, shutdown := bootRun(t, dataDir)
+	if _, err := mutate(base, deleteT2); err != nil {
+		t.Fatal(err)
+	}
+	before := search(t, base, smithXML)
+	if before.Generation != 1 {
+		t.Fatalf("generation before restart = %d, want 1", before.Generation)
+	}
+	shutdown()
 
-			base2, shutdown2 := bootRun(t, shards, dataDir)
-			defer shutdown2()
-			after := search(t, base2, smithXML)
-			if after.Generation != 1 {
-				t.Fatalf("generation after restart = %d, want 1", after.Generation)
-			}
-			if !reflect.DeepEqual(after.Results, before.Results) {
-				t.Fatalf("search results changed across restart:\nbefore: %+v\nafter:  %+v", before.Results, after.Results)
-			}
-			afterStats := stats(t, base2)
-			if !reflect.DeepEqual(afterStats.GenerationVector, beforeStats.GenerationVector) {
-				t.Fatalf("generation vector changed across restart: %v -> %v",
-					beforeStats.GenerationVector, afterStats.GenerationVector)
-			}
-			// The graceful shutdown checkpointed, so recovery loaded a
-			// snapshot and replayed nothing. A sharded server reports its
-			// snapshot generations per shard block, not in this one.
-			p := afterStats.Persistence
-			if p == nil {
-				t.Fatal("durable server omitted the persistence block")
-			}
-			if p.ReplayedRecords != 0 || (shards == 1 && p.LastSnapshotGeneration != 1) {
-				t.Fatalf("persistence after restart = %+v, want snapshot gen 1 and 0 replayed", p)
-			}
-		})
+	base2, shutdown2 := bootRun(t, dataDir)
+	defer shutdown2()
+	after := search(t, base2, smithXML)
+	if after.Generation != 1 {
+		t.Fatalf("generation after restart = %d, want 1", after.Generation)
+	}
+	if !reflect.DeepEqual(after.Results, before.Results) {
+		t.Fatalf("search results changed across restart:\nbefore: %+v\nafter:  %+v", before.Results, after.Results)
+	}
+	// The graceful shutdown checkpointed, so recovery loaded a snapshot and
+	// replayed nothing.
+	p := stats(t, base2).Persistence
+	if p == nil {
+		t.Fatal("durable server omitted the persistence block")
+	}
+	if p.ReplayedRecords != 0 || p.LastSnapshotGeneration != 1 {
+		t.Fatalf("persistence after restart = %+v, want snapshot gen 1 and 0 replayed", p)
+	}
+}
+
+// TestRunRefusesShardedDataDir: a directory in the sharded layout has no
+// root WAL, so serving it would boot the seed data and silently lose every
+// acknowledged mutation. run must fail before it listens or writes.
+func TestRunRefusesShardedDataDir(t *testing.T) {
+	dataDir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dataDir, "meta"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dataDir, "meta", "vector.log"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // a run that wrongly boots returns as soon as it serves
+	ready := make(chan string, 1)
+	err := run(ctx, "127.0.0.1:0", "paper", 1, 1, 1, dataDir, 0, httpapi.Options{}, ready)
+	if err == nil || !strings.Contains(err.Error(), "sharded data layout") {
+		t.Fatalf("run = %v, want the sharded-layout refusal", err)
+	}
+	select {
+	case addr := <-ready:
+		t.Fatalf("run listened on %s before refusing", addr)
+	default:
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "wal.log")); !os.IsNotExist(err) {
+		t.Fatalf("run wrote a root WAL into the sharded directory (stat: %v)", err)
 	}
 }

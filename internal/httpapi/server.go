@@ -358,30 +358,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			SnapshotErrors:         ps.SnapshotErrors,
 		}
 	}
-	// The shard blocks and the generation vector must describe ONE cut, so
-	// the vector is derived from the same ShardStats read instead of a
-	// second engine snapshot (a concurrent commit could land in between).
-	var shardBlocks []ShardStats
-	var vector []uint64
-	if ss, ok := s.engine.ShardStats(); ok {
-		shardBlocks = make([]ShardStats, len(ss))
-		vector = make([]uint64, len(ss))
-		for i, st := range ss {
-			vector[i] = st.Generation
-			shardBlocks[i] = ShardStats{
-				Shard:              st.Shard,
-				Generation:         st.Generation,
-				Tuples:             st.Tuples,
-				GraphEdges:         st.GraphEdges,
-				IndexTerms:         st.IndexTerms,
-				IndexDocs:          st.IndexDocs,
-				WALBytes:           st.WALBytes,
-				WALRecords:         st.WALRecords,
-				SnapshotGeneration: st.SnapshotGeneration,
-				SnapshotBytes:      st.SnapshotBytes,
-			}
-		}
-	}
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		Generation: s.engine.Generation(),
 		UptimeSecs: time.Since(s.start).Seconds(),
@@ -412,16 +388,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			GCPauseTotalMS: float64(snap.Gauges[metrics.GaugeGCPauseTotalNs]) / 1e6,
 			NumGC:          snap.Gauges[metrics.GaugeNumGC],
 		},
-		Latency:          latency,
-		Persistence:      persistence,
-		GenerationVector: vector,
-		Shards:           shardBlocks,
+		Latency:     latency,
+		Persistence: persistence,
 	})
 }
 
 // searchError maps a search failure to a status: the server's own budget
 // expiring is 504, everything else — empty query, unknown engine or
-// ranking — is the client's 400.
+// ranking, a looseness lambda that overflows a score — is the client's 400.
 func (s *Server) searchError(w http.ResponseWriter, err error) {
 	s.errs.Inc()
 	if errors.Is(err, context.DeadlineExceeded) {

@@ -412,69 +412,6 @@ func TestWireOpConversions(t *testing.T) {
 
 func boolPtr(b bool) *bool { return &b }
 
-// TestStatsShardBlocks pins the sharded stats surface: unsharded servers
-// omit the shards block and generation vector entirely; a sharded server
-// reports one block per shard describing one consistent cut, its search
-// output is byte-identical to the unsharded server's, and a mutation
-// advances exactly the vector entries of the shards it touched.
-func TestStatsShardBlocks(t *testing.T) {
-	const shards = 3
-	_, plain, _ := newTestServer(t, Options{})
-	stats := decode[StatsResponse](t, mustGet(t, plain.URL+"/v1/stats"))
-	if stats.Shards != nil || stats.GenerationVector != nil {
-		t.Fatalf("unsharded stats carry shard blocks: %+v", stats)
-	}
-
-	engine, err := kws.New(kws.PaperExample(), kws.WithLabeler(kws.PaperLabeler()), kws.WithShards(shards))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(engine, Options{}).Handler())
-	t.Cleanup(ts.Close)
-
-	want := decode[SearchResponse](t, postJSON(t, plain.URL+"/v1/search", SearchRequest{Query: &smithXML}))
-	got := decode[SearchResponse](t, postJSON(t, ts.URL+"/v1/search", SearchRequest{Query: &smithXML}))
-	if !reflect.DeepEqual(got.Results, want.Results) {
-		t.Fatalf("sharded server output diverged:\nsharded:   %+v\nunsharded: %+v", got.Results, want.Results)
-	}
-
-	stats = decode[StatsResponse](t, mustGet(t, ts.URL+"/v1/stats"))
-	if len(stats.Shards) != shards || len(stats.GenerationVector) != shards {
-		t.Fatalf("stats report %d shard blocks / vector %v, want %d", len(stats.Shards), stats.GenerationVector, shards)
-	}
-	tuples := 0
-	for i, b := range stats.Shards {
-		if b.Shard != i {
-			t.Fatalf("shard block %d labelled %d", i, b.Shard)
-		}
-		if b.Generation != stats.GenerationVector[i] {
-			t.Fatalf("shard %d generation %d, vector says %d", i, b.Generation, stats.GenerationVector[i])
-		}
-		tuples += b.Tuples
-	}
-	if tuples != stats.Engine.Tuples {
-		t.Fatalf("shard blocks hold %d tuples, engine reports %d", tuples, stats.Engine.Tuples)
-	}
-
-	resp := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{Ops: []Op{{
-		Op: "insert", Table: "DEPENDENT",
-		Row: map[string]any{"ID": "shard-stats", "ESSN": "e3", "DEPENDENT_NAME": "Vector"},
-	}}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate status = %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	after := decode[StatsResponse](t, mustGet(t, ts.URL+"/v1/stats"))
-	var advanced uint64
-	for i := range after.GenerationVector {
-		advanced += after.GenerationVector[i] - stats.GenerationVector[i]
-	}
-	if advanced != 1 {
-		t.Fatalf("vector advanced by %d after one single-shard batch: %v -> %v",
-			advanced, stats.GenerationVector, after.GenerationVector)
-	}
-}
-
 func TestStatsShape(t *testing.T) {
 	_, ts, _ := newTestServer(t, Options{MaxInFlight: 7})
 	stats := decode[StatsResponse](t, mustGet(t, ts.URL+"/v1/stats"))

@@ -247,11 +247,6 @@ type StatsResponse struct {
 	// Persistence is present only when the engine runs with a durability
 	// store (kwsd -data-dir); memory-only servers omit the block.
 	Persistence *PersistenceStats `json:"persistence,omitempty"`
-	// GenerationVector and Shards are present only on sharded engines
-	// (kwsd -shards > 1): the per-shard generation cut this response was
-	// taken at, and one block per shard.
-	GenerationVector []uint64     `json:"generation_vector,omitempty"`
-	Shards           []ShardStats `json:"shards,omitempty"`
 }
 
 // EngineStats summarises the served database's current generation.
@@ -297,22 +292,6 @@ type PersistenceStats struct {
 	ReplayedRecords        int64   `json:"replayed_records"`
 	ReplayDurationMS       float64 `json:"replay_duration_ms"`
 	SnapshotErrors         int64   `json:"snapshot_errors"`
-}
-
-// ShardStats mirrors kws.ShardStat on the wire: one shard of a sharded
-// engine — its own generation, the slice of the data it owns, and its
-// durable state (the WAL/snapshot fields are zero on memory-only engines).
-type ShardStats struct {
-	Shard              int    `json:"shard"`
-	Generation         uint64 `json:"generation"`
-	Tuples             int    `json:"tuples"`
-	GraphEdges         int    `json:"graph_edges"`
-	IndexTerms         int    `json:"index_terms"`
-	IndexDocs          int    `json:"index_docs"`
-	WALBytes           int64  `json:"wal_bytes,omitempty"`
-	WALRecords         int64  `json:"wal_records,omitempty"`
-	SnapshotGeneration uint64 `json:"snapshot_generation,omitempty"`
-	SnapshotBytes      int64  `json:"snapshot_bytes,omitempty"`
 }
 
 // MemoryStats reports process heap gauges sampled from runtime.MemStats at

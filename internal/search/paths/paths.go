@@ -68,18 +68,6 @@ type Answer struct {
 	ContentScore float64
 }
 
-// Matcher resolves one keyword to the dense IDs of its matching tuples in
-// the engine's interned space. *index.Index satisfies it natively; a sharded
-// engine substitutes a scatter-gather resolver that fans the keyword out to
-// per-shard indexes and gathers the union. The returned slice must be fresh
-// (the engine sorts it in place) and must equal — as a set — what the
-// engine's own index would match: everything downstream orders match sets
-// with string-space comparators, so any set-correct resolver yields
-// byte-identical output.
-type Matcher interface {
-	MatchIDs(keyword string) []uint32
-}
-
 // Engine enumerates connections between keyword tuples. It is immutable
 // after construction and safe for concurrent use; every call carries its own
 // options, and the ones passed at construction only supply the MaxEdges a
@@ -89,7 +77,6 @@ type Engine struct {
 	graph    *datagraph.Graph
 	index    *index.Index
 	analyzer *core.Analyzer
-	matcher  Matcher
 	opts     Options
 }
 
@@ -113,7 +100,6 @@ func New(db *relation.Database, opts Options) (*Engine, error) {
 		graph:    datagraph.BuildParallelWith(db, tuples, 0),
 		index:    idx,
 		analyzer: analyzer,
-		matcher:  idx,
 		opts:     opts,
 	}, nil
 }
@@ -129,24 +115,7 @@ func NewWithComponents(db *relation.Database, g *datagraph.Graph, idx *index.Ind
 	if opts.MaxEdges <= 0 {
 		opts.MaxEdges = DefaultOptions().MaxEdges
 	}
-	return &Engine{db: db, graph: g, index: idx, analyzer: analyzer, matcher: idx, opts: opts}, nil
-}
-
-// NewWithMatcher is NewWithComponents with a custom keyword matcher: keyword
-// match sets come from m while content scoring, coverage and enumeration
-// still use the given index and graph. The matcher must resolve keywords in
-// the same dense ID space (see Matcher); the paper engine's sharded mode
-// passes its scatter-gather resolver here.
-func NewWithMatcher(db *relation.Database, g *datagraph.Graph, idx *index.Index, analyzer *core.Analyzer, m Matcher, opts Options) (*Engine, error) {
-	e, err := NewWithComponents(db, g, idx, analyzer, opts)
-	if err != nil {
-		return nil, err
-	}
-	if m == nil {
-		return nil, fmt.Errorf("paths: nil matcher")
-	}
-	e.matcher = m
-	return e, nil
+	return &Engine{db: db, graph: g, index: idx, analyzer: analyzer, opts: opts}, nil
 }
 
 // SearchContext enumerates the connections answering the keyword query.
@@ -209,7 +178,7 @@ func (e *Engine) resolve(keywords []string) *query {
 			q.bits[i] = bits // duplicate keyword: same match set
 			continue
 		}
-		ids := e.matcher.MatchIDs(kw)
+		ids := e.index.MatchIDs(kw)
 		for _, id := range ids {
 			q.tupleKeywords[id] = appendUnique(q.tupleKeywords[id], kw)
 		}

@@ -7,14 +7,13 @@ import (
 )
 
 // FuzzShardPartition fuzzes the tuple-to-shard assignment, the function the
-// whole sharded design leans on. Properties:
+// whole fixture leans on. Properties:
 //
 //   - total: any (relation, key, n) maps to a shard, never panics;
 //   - in range: the owner is always a valid shard of the clamped count;
 //   - deterministic: two independently constructed partitioners agree, which
-//     is what makes the assignment stable across Apply, recovery and
-//     independently built engines (the partitioner carries no state beyond
-//     the count);
+//     is what makes the assignment stable across independently built
+//     groups (the partitioner carries no state beyond the count);
 //   - identity-sensitive only: the owner depends on the TupleID alone, so
 //     re-asking with a fresh TupleID value of the same contents agrees;
 //   - separator-sound: the relation/key boundary is part of the hash, so

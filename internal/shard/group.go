@@ -4,19 +4,17 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/datagraph"
 	"repro/internal/index"
 	"repro/internal/relation"
-	"repro/internal/store"
 	"repro/internal/symtab"
 )
 
-// Part is one shard's immutable published state: its database partition, the
-// tuple graph and inverted index over exactly that partition, and the
-// shard's own generation counter (the number of batches that changed this
-// shard since the seed).
+// Part is one shard's immutable state: its database partition, the tuple
+// graph and inverted index over exactly that partition, and the shard's own
+// generation counter (the number of batches that changed this shard since
+// the seed).
 type Part struct {
 	DB    *relation.Database
 	Graph *datagraph.Graph
@@ -24,24 +22,14 @@ type Part struct {
 	Gen   uint64
 }
 
-// States is one published cross-shard generation: the global generation
-// number and every shard's Part. A States value is immutable — commits
-// publish a new value sharing the untouched Parts — so a reader pinning one
-// observes a consistent cut of all shards for its whole call.
+// States is one cross-shard generation: the global generation number and
+// every shard's Part. A States value is immutable — Next returns a new value
+// sharing the untouched Parts.
 type States struct {
-	// Gen is the global generation: the number of committed batches.
+	// Gen is the global generation: the number of applied batches.
 	Gen uint64
-	// Parts holds each shard's published state, indexed by shard.
+	// Parts holds each shard's state, indexed by shard.
 	Parts []*Part
-}
-
-// Vector returns the per-shard generation vector of the cut.
-func (s *States) Vector() []uint64 {
-	vec := make([]uint64, len(s.Parts))
-	for i, p := range s.Parts {
-		vec[i] = p.Gen
-	}
-	return vec
 }
 
 // Next returns the successor cut: global generation gen, the prepared parts
@@ -65,78 +53,18 @@ type Delta struct {
 // empty reports a delta with no net effect on the shard.
 func (d Delta) empty() bool { return len(d.Removed) == 0 && len(d.Added) == 0 }
 
-// Group coordinates the shard engines: the partitioner, the per-shard write
-// leases, and (for durable groups) the per-shard stores plus the vector log
-// whose append is the commit point. Per-shard work — preparing a shard's
-// next Part, appending to or truncating its log, matching a keyword against
-// its index — always runs on a goroutine dedicated to that shard for the
-// operation, and the lease held across a batch's whole prepare/commit window
-// guarantees no two such goroutines ever touch the same shard's write state
-// concurrently.
+// Group builds and advances the shard states of one partitioner. It is
+// memory-only and safe for concurrent use: it holds nothing but the
+// partitioner.
 type Group struct {
-	part   Partitioner
-	stores *Stores
-	leases []sync.Mutex
-
-	// Recovery accounting, written once by Recover before the group is
-	// shared: total WAL records replayed across all shards and how long the
-	// whole recovery took.
-	replayed  int64
-	replayDur time.Duration
+	part Partitioner
 }
 
-// Replayed reports the recovery cost of the group: how many WAL records
-// Recover replayed across every shard, and the wall-clock duration of the
-// recovery. Both are zero for memory-only groups and fresh boots.
-func (g *Group) Replayed() (int64, time.Duration) { return g.replayed, g.replayDur }
-
-// NewGroup builds a group over the partitioner; stores may be nil for a
-// memory-only group. A non-nil stores must agree with the partitioner's
-// shard count.
-func NewGroup(p Partitioner, stores *Stores) (*Group, error) {
-	if stores != nil && stores.Shards() != p.Shards() {
-		return nil, fmt.Errorf("shard: store layout has %d shards, partitioner %d", stores.Shards(), p.Shards())
-	}
-	return &Group{part: p, stores: stores, leases: make([]sync.Mutex, p.Shards())}, nil
-}
-
-// Partitioner returns the group's tuple assignment.
-func (g *Group) Partitioner() Partitioner { return g.part }
-
-// Shards returns the shard count.
-func (g *Group) Shards() int { return g.part.Shards() }
-
-// Durable reports whether the group persists its shards.
-func (g *Group) Durable() bool { return g.stores != nil }
-
-// Stores returns the group's durable layout (nil for memory-only groups).
-func (g *Group) Stores() *Stores { return g.stores }
-
-// Lease acquires the write leases of the given shards in ascending shard
-// order — every batch acquires in the same order, so overlapping batches
-// serialize instead of deadlocking — and returns the release function.
-// Batches touching disjoint shard sets run fully concurrently.
-func (g *Group) Lease(shards []int) func() {
-	sorted := append([]int(nil), shards...)
-	sort.Ints(sorted)
-	for _, s := range sorted {
-		g.leases[s].Lock()
-	}
-	return func() {
-		for _, s := range sorted {
-			g.leases[s].Unlock()
-		}
-	}
-}
-
-// AllShards returns the full lease set {0..n-1}, used when a batch's touched
-// shards cannot be derived from its operations alone.
-func (g *Group) AllShards() []int {
-	all := make([]int, g.Shards())
-	for i := range all {
-		all[i] = i
-	}
-	return all
+// NewGroup builds a group over the partitioner. The second parameter and the
+// error result only keep the benchmark's call shape: the parameter is
+// ignored and the error is always nil.
+func NewGroup(p Partitioner, _ any) (*Group, error) {
+	return &Group{part: p}, nil
 }
 
 // Split partitions a batch's net tuple delta by owner shard. Both input
@@ -160,16 +88,9 @@ func (g *Group) Split(removed, added []*relation.Tuple) map[int]Delta {
 }
 
 // Prepare builds the next Part of every shard the deltas touch, one shard
-// per goroutine: clone-and-apply the partition database, incrementally
-// maintain the shard's graph and index, and (for durable groups) append the
-// shard's delta to its log at the shard's next generation. The caller must
-// hold the leases of every touched shard and pass a States whose leased
-// Parts are current — the lease guarantees they cannot move.
-//
-// On any failure Prepare rolls back the log appends that landed (truncating
-// each appended shard to its previous generation) and returns the error; the
-// published state is untouched either way. On success the prepared parts
-// stay un-published until the caller commits the vector and publishes.
+// per goroutine: clone-and-apply the partition database and incrementally
+// maintain the shard's graph and index. states is never modified; on any
+// failure Prepare returns the first failing shard's error and nothing else.
 func (g *Group) Prepare(states *States, deltas map[int]Delta) (map[int]*Part, error) {
 	shards := make([]int, 0, len(deltas))
 	for s, d := range deltas {
@@ -180,45 +101,19 @@ func (g *Group) Prepare(states *States, deltas map[int]Delta) (map[int]*Part, er
 	sort.Ints(shards)
 	parts := make([]*Part, len(shards))
 	errs := make([]error, len(shards))
-	appended := make([]bool, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			part, err := nextPart(states.Parts[s], deltas[s])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if g.stores != nil {
-				if err := g.stores.Shard(s).Append(part.Gen, deltaMutation(deltas[s])); err != nil {
-					errs[i] = fmt.Errorf("shard %d: %w", s, err)
-					return
-				}
-				appended[i] = true
-			}
-			parts[i] = part
+			parts[i], errs[i] = nextPart(states.Parts[s], deltas[s])
 		}(i, s)
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return nil, err
 		}
-		// Roll the sibling appends of the aborted batch back. A rollback
-		// failure is reported over the original error: the log now holds an
-		// unacknowledged record that recovery would also truncate, but a
-		// live engine must not leave it for the next append to collide with.
-		for j, s := range shards {
-			if !appended[j] {
-				continue
-			}
-			if terr := g.stores.Shard(s).TruncateAfter(states.Parts[s].Gen); terr != nil {
-				return nil, fmt.Errorf("shard: abort of shard %d failed: %v (aborting: %w)", s, terr, err)
-			}
-		}
-		return nil, err
 	}
 	prepared := make(map[int]*Part, len(shards))
 	for i, s := range shards {
@@ -227,40 +122,12 @@ func (g *Group) Prepare(states *States, deltas map[int]Delta) (map[int]*Part, er
 	return prepared, nil
 }
 
-// Abort rolls back the log appends of previously prepared shards, for a
-// batch that failed between Prepare and Commit (e.g. the vector append
-// itself failed). Memory-only groups have nothing to roll back.
-func (g *Group) Abort(states *States, prepared map[int]*Part) error {
-	if g.stores == nil {
-		return nil
-	}
-	var first error
-	for s := range prepared {
-		if err := g.stores.Shard(s).TruncateAfter(states.Parts[s].Gen); err != nil && first == nil {
-			first = fmt.Errorf("shard: abort of shard %d failed: %w", s, err)
-		}
-	}
-	return first
-}
-
-// Commit durably records the committed cut — the global generation and the
-// full per-shard generation vector — in the vector log. This append is THE
-// commit point of a sharded batch: once it returns, recovery includes the
-// batch; until it returns, recovery truncates the batch's shard appends
-// away. Memory-only groups commit trivially.
-func (g *Group) Commit(next *States) error {
-	if g.stores == nil {
-		return nil
-	}
-	return g.stores.Vector().Append(next.Gen, next.Vector())
-}
-
-// nextPart applies one shard's delta to its published Part: removals first,
-// then additions, both in the staged (TupleID-sorted) order, cloning each
-// touched table once — the same copy-on-write discipline as the composed
-// staging layer. The graph and index are maintained incrementally against
-// the new partition database; a foreign key whose target lives in another
-// shard simply dangles, exactly as in a fresh build of the partition.
+// nextPart applies one shard's delta to its Part: removals first, then
+// additions, both in the staged (TupleID-sorted) order, cloning each touched
+// table once — the same copy-on-write discipline as the kws staging layer.
+// The graph and index are maintained incrementally against the new partition
+// database; a foreign key whose target lives in another shard simply
+// dangles, exactly as in a fresh build of the partition.
 func nextPart(prev *Part, d Delta) (*Part, error) {
 	db := prev.DB.Clone()
 	cloned := make(map[string]bool)
@@ -308,130 +175,18 @@ func nextPart(prev *Part, d Delta) (*Part, error) {
 // seed by the partitioner and build each shard's graph and index, one shard
 // per goroutine (parallelism 1 builds sequentially). Every generation is 0.
 func (g *Group) Fresh(seed *relation.Database, parallelism int) (*States, error) {
-	parts, err := SplitDatabase(seed, g.part)
+	dbs, err := SplitDatabase(seed, g.part)
 	if err != nil {
 		return nil, err
 	}
-	return buildStates(0, nil, parts, parallelism)
-}
-
-// Recover rebuilds the group's state from its stores: the newest committed
-// vector decides the cut, every shard log is truncated to its slot in that
-// vector (records beyond it were never acknowledged), and each shard
-// replays from its snapshot — or from its slice of the seed, before any
-// snapshot exists — up to exactly its committed generation, anything short
-// of that being corruption. The composed database — every shard's tuples
-// merged in canonical order — is returned alongside; it is nil when the
-// vector log holds no commit, in which case the caller's seed is the base
-// and the returned States is Fresh's.
-func (g *Group) Recover(seed *relation.Database, parallelism int) (*States, *relation.Database, error) {
-	if g.stores == nil {
-		states, err := g.Fresh(seed, parallelism)
-		return states, nil, err
-	}
-	gen, vec, ok := g.stores.Vector().Last()
-	if !ok {
-		// No committed batch. Drop any shard records a crash between shard
-		// append and vector append left behind, then boot from the seed.
-		for s := 0; s < g.Shards(); s++ {
-			if err := g.stores.Shard(s).TruncateAfter(0); err != nil {
-				return nil, nil, err
-			}
-		}
-		states, err := g.Fresh(seed, parallelism)
-		return states, nil, err
-	}
-	if len(vec) != g.Shards() {
-		return nil, nil, fmt.Errorf("%w: vector has %d shards, layout %d", store.ErrCorrupt, len(vec), g.Shards())
-	}
-	seedParts, err := SplitDatabase(seed, g.part)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	dbs := make([]*relation.Database, g.Shards())
-	replayed := make([]int64, g.Shards())
-	errs := make([]error, g.Shards())
-	var wg sync.WaitGroup
-	for s := 0; s < g.Shards(); s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			dbs[s], replayed[s], errs[s] = g.recoverShard(s, vec[s], seedParts[s])
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	for _, n := range replayed {
-		g.replayed += n
-	}
-	g.replayDur = time.Since(start)
-	composed, err := ComposeDatabase(seed.Name, dbs)
-	if err != nil {
-		return nil, nil, err
-	}
-	states, err := buildStates(gen, vec, dbs, parallelism)
-	if err != nil {
-		return nil, nil, err
-	}
-	return states, composed, nil
-}
-
-// recoverShard rebuilds one shard's partition database: truncate the log to
-// the committed generation, load the newest snapshot (or start from the
-// shard's slice of the seed), and replay the remaining log records. The
-// second result counts the records replayed.
-func (g *Group) recoverShard(s int, committed uint64, seedPart *relation.Database) (*relation.Database, int64, error) {
-	st := g.stores.Shard(s)
-	if err := st.TruncateAfter(committed); err != nil {
-		return nil, 0, err
-	}
-	db, snapGen, err := st.Load()
-	if err != nil {
-		return nil, 0, err
-	}
-	if db == nil {
-		db, snapGen = seedPart, 0
-	}
-	last := snapGen
-	var replayed int64
-	if err := st.Replay(snapGen, func(gen uint64, m store.Mutation) error {
-		for _, op := range m.Ops {
-			if err := applyStoreOp(db, op); err != nil {
-				return fmt.Errorf("generation %d: %w", gen, err)
-			}
-		}
-		last = gen
-		replayed++
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	if last != committed {
-		return nil, 0, fmt.Errorf("%w: recovered to generation %d, committed vector requires %d", store.ErrCorrupt, last, committed)
-	}
-	return db, replayed, nil
-}
-
-// buildStates interns and indexes every partition, one shard per goroutine.
-// vec carries the per-shard generations (nil means all zero).
-func buildStates(gen uint64, vec []uint64, dbs []*relation.Database, parallelism int) (*States, error) {
-	states := &States{Gen: gen, Parts: make([]*Part, len(dbs))}
+	states := &States{Parts: make([]*Part, len(dbs))}
 	build := func(s int) {
 		tuples := symtab.ForDatabase(dbs[s])
-		part := &Part{
+		states.Parts[s] = &Part{
 			DB:    dbs[s],
 			Graph: datagraph.BuildParallelWith(dbs[s], tuples, 1),
 			Index: index.BuildParallelWith(dbs[s], tuples, 1),
 		}
-		if vec != nil {
-			part.Gen = vec[s]
-		}
-		states.Parts[s] = part
 	}
 	if parallelism == 1 {
 		for s := range dbs {
@@ -449,177 +204,4 @@ func buildStates(gen uint64, vec []uint64, dbs []*relation.Database, parallelism
 	}
 	wg.Wait()
 	return states, nil
-}
-
-// Checkpoint snapshots every shard at its published generation and compacts
-// the vector log, bounding both replay time and log growth. Concurrent
-// appends by in-flight batches are safe: each shard store serializes
-// internally and its snapshot truncation only drops records the snapshot
-// covers. The caller passes a published States, so every snapshotted
-// generation is covered by a committed vector.
-func (g *Group) Checkpoint(states *States) error {
-	if g.stores == nil {
-		return nil
-	}
-	errs := make([]error, len(states.Parts))
-	var wg sync.WaitGroup
-	for s := range states.Parts {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = g.stores.Shard(s).Snapshot(states.Parts[s].Gen, states.Parts[s].DB)
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	return g.stores.Vector().Compact()
-}
-
-// deltaMutation encodes one shard's delta as a storage-neutral mutation:
-// removals as deletes keyed by primary key, additions as full-row inserts,
-// in the delta's (TupleID-sorted) order. Replaying the sequence against the
-// shard's previous partition reproduces the next one exactly.
-func deltaMutation(d Delta) store.Mutation {
-	ops := make([]store.Op, 0, len(d.Removed)+len(d.Added))
-	for _, tup := range d.Removed {
-		ops = append(ops, store.Op{Kind: int(opDelete), Table: tup.ID().Relation, Key: pkMap(tup)})
-	}
-	for _, tup := range d.Added {
-		ops = append(ops, store.Op{Kind: int(opInsert), Table: tup.ID().Relation, Row: rowMap(tup)})
-	}
-	return store.Mutation{Ops: ops}
-}
-
-// The shard log reuses the engine's op-kind numbering (insert 1, delete 2).
-const (
-	opInsert = 1
-	opDelete = 2
-)
-
-// applyStoreOp replays one logged shard op against a recovery-private
-// partition database.
-func applyStoreOp(db *relation.Database, op store.Op) error {
-	t, ok := db.Table(op.Table)
-	if !ok {
-		return fmt.Errorf("shard: unknown table %s", op.Table)
-	}
-	switch op.Kind {
-	case opInsert:
-		values := make(map[string]relation.Value, len(op.Row))
-		for col, v := range op.Row {
-			def, ok := t.Schema().Column(col)
-			if !ok {
-				return fmt.Errorf("shard: table %s has no column %s", op.Table, col)
-			}
-			rv, err := anyToValue(v, def.Type)
-			if err != nil {
-				return fmt.Errorf("shard: %s.%s: %w", op.Table, col, err)
-			}
-			values[col] = rv
-		}
-		if _, err := t.Insert(values); err != nil {
-			return fmt.Errorf("shard: %w", err)
-		}
-		return nil
-	case opDelete:
-		key, err := encodePKMap(t, op.Key)
-		if err != nil {
-			return err
-		}
-		if _, ok := t.Delete(key); !ok {
-			return fmt.Errorf("shard: no tuple with key %q in %s", key, op.Table)
-		}
-		return nil
-	default:
-		return fmt.Errorf("shard: unknown op kind %d", op.Kind)
-	}
-}
-
-// pkMap renders a tuple's primary-key columns as a storage key map.
-func pkMap(tup *relation.Tuple) map[string]any {
-	s := tup.Schema()
-	key := make(map[string]any, len(s.PrimaryKey))
-	for _, col := range s.PrimaryKey {
-		key[col] = valueToAny(tup.Value(col))
-	}
-	return key
-}
-
-// rowMap renders a tuple's non-null columns as a storage row map (absent
-// columns replay as NULL, matching the insert semantics).
-func rowMap(tup *relation.Tuple) map[string]any {
-	s := tup.Schema()
-	row := make(map[string]any, len(s.Columns))
-	for _, col := range s.Columns {
-		if v := tup.Value(col.Name); !v.IsNull() {
-			row[col.Name] = valueToAny(v)
-		}
-	}
-	return row
-}
-
-// valueToAny lowers a relation value to the storage codec's canonical Go
-// types (nil, string, int64, float64, bool).
-func valueToAny(v relation.Value) any {
-	switch v.Type() {
-	case relation.TypeString, relation.TypeText:
-		return v.AsString()
-	case relation.TypeInt:
-		i, _ := v.AsInt()
-		return i
-	case relation.TypeFloat:
-		f, _ := v.AsFloat()
-		return f
-	case relation.TypeBool:
-		b, _ := v.AsBool()
-		return b
-	default:
-		return nil
-	}
-}
-
-// anyToValue lifts a storage value back to a relation value of the column's
-// type — the exact inverse of valueToAny for the canonical types.
-func anyToValue(v any, t relation.Type) (relation.Value, error) {
-	if v == nil {
-		return relation.Null(), nil
-	}
-	switch x := v.(type) {
-	case string:
-		if t == relation.TypeText {
-			return relation.Text(x), nil
-		}
-		return relation.String(x), nil
-	case int64:
-		return relation.Int(x), nil
-	case float64:
-		return relation.Float(x), nil
-	case bool:
-		return relation.Bool(x), nil
-	default:
-		return relation.Null(), fmt.Errorf("unsupported value type %T", v)
-	}
-}
-
-// encodePKMap resolves a storage key map into the encoded primary key.
-func encodePKMap(t *relation.Table, key map[string]any) (string, error) {
-	s := t.Schema()
-	vals := make([]relation.Value, len(s.PrimaryKey))
-	for i, col := range s.PrimaryKey {
-		v, ok := key[col]
-		if !ok {
-			return "", fmt.Errorf("shard: key is missing primary-key column %s", col)
-		}
-		def, _ := s.Column(col)
-		rv, err := anyToValue(v, def.Type)
-		if err != nil {
-			return "", fmt.Errorf("shard: %s.%s: %w", t.Name(), col, err)
-		}
-		vals[i] = rv
-	}
-	return relation.EncodeKey(vals), nil
 }

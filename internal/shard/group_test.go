@@ -5,11 +5,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/paperdb"
 	"repro/internal/relation"
-	"repro/internal/store"
 )
 
 // makeTuple builds a free-standing tuple for a delta by inserting the row
@@ -44,44 +42,7 @@ func firstTuple(t *testing.T, db *relation.Database, table string) *relation.Tup
 	return tuples[0]
 }
 
-func TestNewGroupRejectsStoreShardMismatch(t *testing.T) {
-	stores, err := OpenStores(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores.Close()
-	if _, err := NewGroup(NewPartitioner(3), stores); err == nil {
-		t.Fatal("NewGroup accepted a 2-shard layout for a 3-shard partitioner")
-	}
-	if g, err := NewGroup(NewPartitioner(2), stores); err != nil || !g.Durable() {
-		t.Fatalf("matching layout rejected: g=%v err=%v", g, err)
-	}
-}
-
-func TestGroupAccessors(t *testing.T) {
-	p := NewPartitioner(3)
-	g, err := NewGroup(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Partitioner() != p {
-		t.Fatal("Partitioner() does not return the constructor's partitioner")
-	}
-	if g.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", g.Shards())
-	}
-	if g.Durable() {
-		t.Fatal("memory-only group reports durable")
-	}
-	if g.Stores() != nil {
-		t.Fatal("memory-only group has stores")
-	}
-	if all := g.AllShards(); len(all) != 3 || all[0] != 0 || all[1] != 1 || all[2] != 2 {
-		t.Fatalf("AllShards() = %v", all)
-	}
-}
-
-func TestStatesVectorAndNext(t *testing.T) {
+func TestStatesNext(t *testing.T) {
 	g, err := NewGroup(NewPartitioner(3), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +54,9 @@ func TestStatesVectorAndNext(t *testing.T) {
 	if states.Gen != 0 {
 		t.Fatalf("fresh global generation = %d", states.Gen)
 	}
-	for s, gen := range states.Vector() {
-		if gen != 0 {
-			t.Fatalf("fresh shard %d generation = %d", s, gen)
+	for s, part := range states.Parts {
+		if part.Gen != 0 {
+			t.Fatalf("fresh shard %d generation = %d", s, part.Gen)
 		}
 	}
 	replacement := &Part{Gen: 1}
@@ -106,9 +67,6 @@ func TestStatesVectorAndNext(t *testing.T) {
 	if next.Parts[0] != states.Parts[0] || next.Parts[2] != states.Parts[2] {
 		t.Fatal("Next did not share the untouched parts")
 	}
-	if vec := next.Vector(); vec[0] != 0 || vec[1] != 1 || vec[2] != 0 {
-		t.Fatalf("next vector = %v", vec)
-	}
 	if states.Parts[1] == replacement {
 		t.Fatal("Next mutated the predecessor cut")
 	}
@@ -116,7 +74,8 @@ func TestStatesVectorAndNext(t *testing.T) {
 
 func TestGroupSplitRoutesByOwner(t *testing.T) {
 	db := paperdb.MustLoad()
-	g, err := NewGroup(NewPartitioner(4), nil)
+	p := NewPartitioner(4)
+	g, err := NewGroup(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,13 +91,13 @@ func TestGroupSplitRoutesByOwner(t *testing.T) {
 	for s, d := range deltas {
 		for _, tup := range d.Removed {
 			seen++
-			if owner := g.Partitioner().Owner(tup.ID()); owner != s {
+			if owner := p.Owner(tup.ID()); owner != s {
 				t.Fatalf("%s routed to shard %d, owner %d", tup.ID(), s, owner)
 			}
 		}
 		for _, tup := range d.Added {
 			seen++
-			if owner := g.Partitioner().Owner(tup.ID()); owner != s {
+			if owner := p.Owner(tup.ID()); owner != s {
 				t.Fatalf("added %s routed to shard %d, owner %d", tup.ID(), s, owner)
 			}
 		}
@@ -148,47 +107,9 @@ func TestGroupSplitRoutesByOwner(t *testing.T) {
 	}
 }
 
-func TestGroupLeaseSerializesOverlapBlocksNotDisjoint(t *testing.T) {
-	g, err := NewGroup(NewPartitioner(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := g.Lease([]int{2, 0}) // unsorted on purpose: Lease sorts internally
-
-	disjoint := make(chan struct{})
-	go func() {
-		r := g.Lease([]int{1, 3})
-		r()
-		close(disjoint)
-	}()
-	select {
-	case <-disjoint:
-	case <-time.After(5 * time.Second):
-		t.Fatal("disjoint lease blocked behind an unrelated lease")
-	}
-
-	overlapping := make(chan struct{})
-	go func() {
-		r := g.Lease([]int{0})
-		r()
-		close(overlapping)
-	}()
-	select {
-	case <-overlapping:
-		t.Fatal("overlapping lease acquired while the shard was held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	release()
-	select {
-	case <-overlapping:
-	case <-time.After(5 * time.Second):
-		t.Fatal("overlapping lease never acquired after release")
-	}
-}
-
 // mutatePrepareCommit runs one batch — delete one DEPENDENT, insert one
-// EMPLOYEE — through the group's full write path and returns the published
-// successor cut plus the equivalently mutated flat database.
+// EMPLOYEE — through Split, Prepare and Next and returns the successor cut
+// plus the equivalently mutated flat database.
 func mutatePrepareCommit(t *testing.T, g *Group, states *States, db *relation.Database) (*States, *relation.Database) {
 	t.Helper()
 	removal := firstTuple(t, db, "DEPENDENT")
@@ -206,9 +127,6 @@ func mutatePrepareCommit(t *testing.T, g *Group, states *States, db *relation.Da
 		}
 	}
 	next := states.Next(states.Gen+1, prepared)
-	if err := g.Commit(next); err != nil {
-		t.Fatalf("commit: %v", err)
-	}
 
 	want := db.Clone()
 	tab, _ := want.Table("DEPENDENT")
@@ -287,377 +205,12 @@ func TestGroupPrepareRejectsBadDeltas(t *testing.T) {
 	}
 }
 
-func TestGroupDurableCommitRecoverRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	db := paperdb.MustLoad()
-	stores, err := OpenStores(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup(NewPartitioner(3), stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, want := mutatePrepareCommit(t, g, states, db)
-	if err := stores.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	stores2, err := OpenStores(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores2.Close()
-	g2, err := NewGroup(NewPartitioner(3), stores2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, composed, err := g2.Recover(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if composed == nil {
-		t.Fatal("recovery of a committed group returned no composed database")
-	}
-	if recovered.Gen != next.Gen {
-		t.Fatalf("recovered generation %d, committed %d", recovered.Gen, next.Gen)
-	}
-	wantVec, gotVec := next.Vector(), recovered.Vector()
-	for s := range wantVec {
-		if gotVec[s] != wantVec[s] {
-			t.Fatalf("recovered vector %v, committed %v", gotVec, wantVec)
-		}
-	}
-	if dump(composed) != dump(want) {
-		t.Fatal("recovered composed database differs from the committed state")
-	}
-}
-
-func TestGroupRecoverTruncatesUncommittedAppends(t *testing.T) {
-	dir := t.TempDir()
-	db := paperdb.MustLoad()
-	stores, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup(NewPartitioner(2), stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prepare appends to the shard logs; "crash" before the vector commit.
-	removal := firstTuple(t, db, "DEPENDENT")
-	if _, err := g.Prepare(states, g.Split([]*relation.Tuple{removal}, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := stores.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	stores2, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores2.Close()
-	g2, err := NewGroup(NewPartitioner(2), stores2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, composed, err := g2.Recover(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if composed != nil {
-		t.Fatal("no batch committed, yet recovery produced a composed database")
-	}
-	if recovered.Gen != 0 {
-		t.Fatalf("recovered generation %d after an uncommitted append", recovered.Gen)
-	}
-	// The orphan record is gone: a fresh batch at generation 1 lands cleanly.
-	next, _ := mutatePrepareCommit(t, g2, recovered, db)
-	if next.Gen != 1 {
-		t.Fatalf("post-recovery commit produced generation %d", next.Gen)
-	}
-}
-
-func TestGroupAbortRollsBackPreparedAppends(t *testing.T) {
-	dir := t.TempDir()
-	db := paperdb.MustLoad()
-	stores, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores.Close()
-	g, err := NewGroup(NewPartitioner(2), stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removal := firstTuple(t, db, "DEPENDENT")
-	prepared, err := g.Prepare(states, g.Split([]*relation.Tuple{removal}, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Abort(states, prepared); err != nil {
-		t.Fatal(err)
-	}
-	// The aborted appends are rolled back: the same batch prepares and
-	// commits again at the same generations without colliding in the logs.
-	next, want := mutatePrepareCommit(t, g, states, db)
-	recovered, composed, err := g.Recover(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered.Gen != next.Gen {
-		t.Fatalf("recovered generation %d, committed %d", recovered.Gen, next.Gen)
-	}
-	if dump(composed) != dump(want) {
-		t.Fatal("recovered state differs after abort-then-commit")
-	}
-}
-
-func TestGroupCheckpointCompactsAndRecovers(t *testing.T) {
-	dir := t.TempDir()
-	db := paperdb.MustLoad()
-	stores, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup(NewPartitioner(2), stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, want := mutatePrepareCommit(t, g, states, db)
-	if err := g.Checkpoint(next); err != nil {
-		t.Fatal(err)
-	}
-	if err := stores.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	stores2, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores2.Close()
-	g2, err := NewGroup(NewPartitioner(2), stores2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, composed, err := g2.Recover(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recovered.Gen != next.Gen {
-		t.Fatalf("recovered generation %d from snapshots, committed %d", recovered.Gen, next.Gen)
-	}
-	if dump(composed) != dump(want) {
-		t.Fatal("snapshot recovery differs from the committed state")
-	}
-}
-
-func TestGroupCheckpointMemoryIsNoop(t *testing.T) {
-	g, err := NewGroup(NewPartitioner(2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(paperdb.MustLoad(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Checkpoint(states); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Abort(states, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Commit(states); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGroupTypedValuesSurviveReplay pins the value codec round trip: int,
-// float, bool, text and NULL columns replay from the shard WAL to exactly the
-// relational values the live path produced.
-func TestGroupTypedValuesSurviveReplay(t *testing.T) {
-	schema := relation.MustSchema("MEASUREMENT",
-		[]relation.Column{
-			{Name: "ID", Type: relation.TypeString},
-			{Name: "N", Type: relation.TypeInt, Nullable: true},
-			{Name: "F", Type: relation.TypeFloat, Nullable: true},
-			{Name: "B", Type: relation.TypeBool, Nullable: true},
-			{Name: "NOTE", Type: relation.TypeText, Nullable: true},
-		},
-		[]string{"ID"})
-	db := relation.NewDatabase("measurements")
-	tab, err := db.CreateTable(schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Insert(map[string]relation.Value{"ID": relation.String("seed")}); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	stores, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewGroup(NewPartitioner(2), stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := makeTuple(t, db, "MEASUREMENT", map[string]relation.Value{
-		"ID": relation.String("m1"),
-		"N":  relation.Int(42),
-		"F":  relation.Float(2.5),
-		"B":  relation.Bool(true),
-		// NOTE stays NULL: absent columns must replay as NULL.
-	})
-	prepared, err := g.Prepare(states, g.Split(nil, []*relation.Tuple{added}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := states.Next(1, prepared)
-	if err := g.Commit(next); err != nil {
-		t.Fatal(err)
-	}
-	if err := stores.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	stores2, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores2.Close()
-	g2, err := NewGroup(NewPartitioner(2), stores2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, composed, err := g2.Recover(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := db.Clone()
-	wtab, _ := want.Table("MEASUREMENT")
-	wtab = wtab.Clone()
-	if _, err := wtab.InsertRow(added.Values()...); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.SetTable(wtab); err != nil {
-		t.Fatal(err)
-	}
-	if dump(composed) != dump(want) {
-		t.Fatalf("typed values did not survive replay:\n got:\n%s\n want:\n%s", dump(composed), dump(want))
-	}
-}
-
-func TestOpenStoresErrors(t *testing.T) {
-	if _, err := OpenStores(t.TempDir(), 0); err == nil {
-		t.Fatal("OpenStores accepted 0 shards")
-	}
-	dir := t.TempDir()
-	stores, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stores.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStores(dir, 3); err == nil {
-		t.Fatal("OpenStores reopened a 2-shard layout as 3 shards")
-	}
-}
-
-func TestStoresReplaceShard(t *testing.T) {
-	stores, err := OpenStores(t.TempDir(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores.Close()
-	faulty := store.NewFaultStore(stores.Shard(0).(*store.FileStore))
-	stores.ReplaceShard(0, faulty)
-	if stores.Shard(0) != store.Store(faulty) {
-		t.Fatal("ReplaceShard did not install the wrapper")
-	}
-}
-
-// TestGroupPrepareRollsBackSiblingAppends pins the multi-shard failure path:
-// when one shard of a batch fails to prepare, the sibling shards' log appends
-// are rolled back, so the logs hold nothing past the published cut.
-func TestGroupPrepareRollsBackSiblingAppends(t *testing.T) {
-	dir := t.TempDir()
-	db := paperdb.MustLoad()
-	stores, err := OpenStores(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stores.Close()
-	g, err := NewGroup(NewPartitioner(2), stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, err := g.Fresh(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A ghost removal targeting the other shard than a valid removal: the
-	// valid shard appends, the ghost shard errors, the append must roll back.
-	valid := firstTuple(t, db, "DEPENDENT")
-	validShard := g.Partitioner().Owner(valid.ID())
-	var ghost *relation.Tuple
-	for i := 0; ; i++ {
-		candidate := makeTuple(t, db, "EMPLOYEE", map[string]relation.Value{
-			"SSN": relation.String("ghost" + strings.Repeat("x", i)), "L_NAME": relation.String("Ghost"), "S_NAME": relation.String("No"),
-		})
-		if g.Partitioner().Owner(candidate.ID()) != validShard {
-			ghost = candidate
-			break
-		}
-	}
-	_, err = g.Prepare(states, g.Split([]*relation.Tuple{valid, ghost}, nil))
-	if err == nil || !strings.Contains(err.Error(), "not in its partition") {
-		t.Fatalf("mixed batch: err = %v", err)
-	}
-	// The rolled-back group accepts the valid half cleanly at generation 1.
-	next, want := mutatePrepareCommit(t, g, states, db)
-	recovered, composed, rerr := g.Recover(db, 1)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if recovered.Gen != next.Gen {
-		t.Fatalf("recovered generation %d, committed %d", recovered.Gen, next.Gen)
-	}
-	if dump(composed) != dump(want) {
-		t.Fatal("recovery after a rolled-back prepare differs from the committed state")
-	}
-}
-
 // TestGroupConcurrentDisjointPrepare drives two batches on disjoint shard
-// sets through Lease+Prepare concurrently — the memory-only half of the
-// contract the kws-level race suite exercises end to end.
+// sets through Prepare concurrently, both from the same States.
 func TestGroupConcurrentDisjointPrepare(t *testing.T) {
 	db := paperdb.MustLoad()
-	g, err := NewGroup(NewPartitioner(2), nil)
+	p := NewPartitioner(2)
+	g, err := NewGroup(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -669,7 +222,7 @@ func TestGroupConcurrentDisjointPrepare(t *testing.T) {
 	perShard := make([]*relation.Tuple, 2)
 	for _, table := range db.Tables() {
 		for _, tup := range table.Tuples() {
-			s := g.Partitioner().Owner(tup.ID())
+			s := p.Owner(tup.ID())
 			if perShard[s] == nil {
 				perShard[s] = tup
 			}
@@ -684,8 +237,6 @@ func TestGroupConcurrentDisjointPrepare(t *testing.T) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			release := g.Lease([]int{s})
-			defer release()
 			prepared, err := g.Prepare(states, g.Split([]*relation.Tuple{perShard[s]}, nil))
 			if err != nil {
 				errs[s] = err

@@ -6,18 +6,12 @@ import (
 	"repro/internal/symtab"
 )
 
-// Matcher is the scatter-gather keyword resolver of one published cut: a
-// query keyword fans out to every shard's inverted index on its own
-// goroutine, each shard answers with its matching tuples, and the gathered
-// results are translated into the composed generation's dense ID space.
-//
-// The shards partition the tuple set, so the gathered union is exactly the
-// composed index's match set — multi-token keyword matching is a per-tuple
-// property, unaffected by which shard holds which tuple — which is what
-// makes the downstream enumeration byte-identical to the unsharded engine
-// (the enumeration sorts match sets with string-space comparators, so the
-// gather order is irrelevant). It satisfies the paths engine's Matcher
-// contract and is safe for concurrent use: the cut it captures is immutable.
+// Matcher is the scatter-gather keyword resolver of one cut: a keyword fans
+// out to every shard's inverted index on its own goroutine, and the gathered
+// matches are translated into a composed generation's dense ID space. The
+// shards partition the tuple set, so the gathered union equals the composed
+// index's match set. It is safe for concurrent use: the cut it captures is
+// immutable.
 type Matcher struct {
 	states *States
 	tuples *symtab.Tuples

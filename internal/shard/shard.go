@@ -1,51 +1,15 @@
-// Package shard partitions the engine's authoritative state into N shard
-// engines so that writes to disjoint shards commit concurrently and the
-// keyword-match phase of a query scatters across N independent indexes —
-// while the merged search output stays byte-identical to the unsharded
-// engine at any shard count.
+// Package shard is the fixture behind the benchmark's per-layer shard.*
+// rows (benchmark/trace.go): it partitions a database into N shards by a
+// deterministic tuple hash, keeps one graph and inverted index per
+// partition, advances them by per-shard deltas, and matches a keyword across
+// every partition's index. No product code uses it; it goes, together with
+// those rows, in a later benchmark-defining change.
 //
-// # Partitioning
-//
-// A deterministic Partitioner assigns every tuple to one shard by hashing
-// its TupleID (FNV-1a over relation and key). The assignment depends only on
-// the identity and the shard count, so it is stable across Apply, recovery
-// and independently built engines — the property the FuzzShardPartition
-// target and the determinism suite pin.
-//
-// Each shard owns a full partition of the engine state: a relational
-// database holding exactly its tuples (every table exists in every shard; a
-// foreign key whose target lives in another shard dangles and drops out of
-// the shard's graph, exactly as a dangling reference does in an unsharded
-// build), a tuple graph and an inverted index over that partition, and — for
-// durable engines — its own write-ahead-log/snapshot directory.
-//
-// # Reads
-//
-// The merged answer stream of a keyword search must be byte-identical to the
-// unsharded engine's, and connections (join paths) cross shard boundaries
-// arbitrarily, so connection enumeration runs on the composed generation the
-// kws engine already maintains. What scatters is the phase that is
-// per-tuple and therefore partitions exactly: keyword matching. A query fans
-// out to every shard's index on its own goroutine, each shard answers with
-// its matching tuples, and the gathered union — shards are disjoint, so the
-// union is exact — feeds the enumeration pipeline, whose rank-preserving
-// parallel.Ordered merge then emits answers in the deterministic order the
-// determinism suite byte-compares.
-//
-// # Writes
-//
-// Apply stages a batch once against the composed generation, splits the net
-// tuple delta by owner shard, and prepares each touched shard on its own
-// goroutine: clone-and-apply the partition database, incrementally maintain
-// the shard graph and index, and append the shard's delta to its WAL at the
-// shard's next generation. Per-shard leases (acquired in ascending shard
-// order, so overlapping batches never deadlock) make batches touching
-// disjoint shards fully concurrent. The commit point is a record in the
-// group's vector log naming the global generation and the per-shard
-// generation vector; a batch that fails before that record rolls its shard
-// appends back with TruncateAfter, and recovery truncates every shard log to
-// the newest committed vector — so the recovered group is always a
-// consistent cut covering exactly the acknowledged batches.
+// A Partitioner assigns every tuple to one shard by hashing its TupleID
+// (FNV-1a over relation and key). The assignment depends only on the
+// identity and the shard count. Each shard holds every table of the catalog
+// and exactly its own tuples; a foreign key whose target lives in another
+// shard dangles and drops out of the shard's graph.
 package shard
 
 import (
@@ -76,7 +40,7 @@ func (p Partitioner) Shards() int { return p.n }
 // Owner returns the shard owning the tuple: FNV-1a over the relation name, a
 // zero separator byte and the encoded key, modulo the shard count. The
 // function is total and depends only on its inputs — the identical tuple maps
-// to the identical shard in every engine, generation and recovery.
+// to the identical shard in every engine and generation.
 func (p Partitioner) Owner(id relation.TupleID) int {
 	if p.n <= 1 {
 		return 0

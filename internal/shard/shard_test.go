@@ -65,7 +65,7 @@ func TestPartitionerClampsAndSingleShard(t *testing.T) {
 
 // TestPartitionerReachability pins the load-spreading property the fuzz
 // target also checks: over a modest synthetic ID population every shard owns
-// something, for every shard count the engine supports in the sweeps.
+// something, for every shard count from 2 to 8.
 func TestPartitionerReachability(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		p := NewPartitioner(n)

@@ -44,7 +44,6 @@ const (
 //
 // With Sticky set, the first fired crash point kills the store: every later
 // write operation fails with ErrInjected, so no cleanup the caller attempts
-// (the sharded engine rolls back sibling-shard appends of an aborted batch)
 // can change the directory. The disk is then frozen in exactly the state a
 // process crash at the injection point would leave, which is what the
 // crash-recovery tests re-Open.

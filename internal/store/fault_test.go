@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -110,5 +111,52 @@ func TestFaultStorePassthrough(t *testing.T) {
 	}
 	if st := f.Stats(); st.SnapshotGen != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestFaultStoreSticky(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	f := NewFaultStore(s)
+	f.Sticky = true
+	if err := f.Append(1, Mutation{Ops: []Op{{Kind: 1, Table: "T"}}}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	f.Point = CrashPostAppend
+	if err := f.Append(2, Mutation{Ops: []Op{{Kind: 1, Table: "T"}}}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Append at crash point = %v, want ErrInjected", err)
+	}
+	if !f.Dead() {
+		t.Fatal("sticky store not dead after injection")
+	}
+	// Every later write — including the rollback a live process would run —
+	// must bounce off the dead store, freezing the directory.
+	f.Point = CrashNone
+	if err := f.Append(3, Mutation{}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Append on dead store = %v, want ErrInjected", err)
+	}
+	if err := f.TruncateAfter(1); !errors.Is(err, ErrInjected) {
+		t.Fatalf("TruncateAfter on dead store = %v, want ErrInjected", err)
+	}
+	if err := f.Snapshot(2, testDatabase(t)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Snapshot on dead store = %v, want ErrInjected", err)
+	}
+	s.Close()
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	var gens []uint64
+	if err := s2.Replay(0, func(g uint64, m Mutation) error { gens = append(gens, g); return nil }); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if !reflect.DeepEqual(gens, []uint64{1, 2}) {
+		t.Fatalf("replayed gens = %v, want [1 2] (post-append crash kept the record)", gens)
 	}
 }

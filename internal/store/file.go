@@ -202,10 +202,7 @@ func (s *FileStore) truncateWAL(upTo uint64) error {
 
 // TruncateAfter durably drops the WAL records with generation greater than
 // gen, leaving the log ending at gen (or empty, when nothing at or below gen
-// is logged). It exists for the sharded commit protocol: a batch that fails
-// on one shard after appending to others rolls those appends back, and
-// recovery discards per-shard records beyond the committed generation
-// vector — in both cases the dropped records were never acknowledged.
+// is logged). The dropped records must never have been acknowledged.
 // Truncating below the snapshot generation is refused: the snapshot already
 // covers those generations, so the request can only be a protocol bug.
 func (s *FileStore) TruncateAfter(gen uint64) error {

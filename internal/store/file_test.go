@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -231,5 +232,89 @@ func TestOpenRemovesStaleTempFiles(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
 			t.Fatalf("%s still present after Open", tmp)
 		}
+	}
+}
+
+func TestFileStoreTruncateAfter(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	mut := func(key string) Mutation {
+		return Mutation{Ops: []Op{{Kind: 1, Table: "T", Row: map[string]any{"id": key}}}}
+	}
+	for g := uint64(1); g <= 4; g++ {
+		if err := s.Append(g, mut("k")); err != nil {
+			t.Fatalf("Append %d: %v", g, err)
+		}
+	}
+
+	if err := s.TruncateAfter(4); err != nil {
+		t.Fatalf("TruncateAfter at lastGen: %v", err)
+	}
+	if err := s.TruncateAfter(9); err != nil {
+		t.Fatalf("TruncateAfter above lastGen: %v", err)
+	}
+	if err := s.TruncateAfter(2); err != nil {
+		t.Fatalf("TruncateAfter: %v", err)
+	}
+	var gens []uint64
+	if err := s.Replay(0, func(g uint64, m Mutation) error { gens = append(gens, g); return nil }); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if !reflect.DeepEqual(gens, []uint64{1, 2}) {
+		t.Fatalf("replayed gens = %v, want [1 2]", gens)
+	}
+	// The next append must slot in at the truncated position.
+	if err := s.Append(3, mut("again")); err != nil {
+		t.Fatalf("Append after truncate: %v", err)
+	}
+	s.Close()
+
+	// A reopened store agrees with the truncated view.
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	gens = nil
+	if err := s2.Replay(0, func(g uint64, m Mutation) error { gens = append(gens, g); return nil }); err != nil {
+		t.Fatalf("Replay reopened: %v", err)
+	}
+	if !reflect.DeepEqual(gens, []uint64{1, 2, 3}) {
+		t.Fatalf("replayed gens = %v, want [1 2 3]", gens)
+	}
+}
+
+func TestFileStoreTruncateAfterRespectsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	db := testDatabase(t)
+	for g := uint64(1); g <= 3; g++ {
+		if err := s.Append(g, Mutation{Ops: []Op{{Kind: 1, Table: "T"}}}); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := s.Snapshot(2, db); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := s.TruncateAfter(1); err == nil {
+		t.Fatal("TruncateAfter below snapshot generation succeeded")
+	}
+	if err := s.TruncateAfter(2); err != nil {
+		t.Fatalf("TruncateAfter at snapshot generation: %v", err)
+	}
+	var gens []uint64
+	if err := s.Replay(0, func(g uint64, m Mutation) error { gens = append(gens, g); return nil }); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if len(gens) != 0 {
+		t.Fatalf("replayed gens = %v, want none (snapshot covers them)", gens)
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"path/filepath"
 )
 
-// Record framing shared by the write-ahead log and the vector log. A record
-// is [u32 payload length][u32 CRC32-IEEE of payload][payload], both integers
-// little-endian; what the payload means is the owning log's business.
+// Record framing of the write-ahead log. A record is [u32 payload length]
+// [u32 CRC32-IEEE of payload][payload], both integers little-endian; what the
+// payload means is the owning log's business.
 const (
 	frameHeaderSize = 8
 	// maxRecordBytes caps a single record's payload. A length field beyond
@@ -82,7 +82,7 @@ func scanFrames(data []byte, fn func(off int64, payload []byte) error) (validEnd
 }
 
 // framedLog is one append-only file of framed records with the fsync
-// discipline both durable logs need: an append is on disk before it returns,
+// discipline a durable log needs: an append is on disk before it returns,
 // a torn tail is cut away on open, and shrinking the log — in place or
 // through an atomic temp-file rewrite — is durable before it is reported.
 //

@@ -13,9 +13,8 @@ import (
 	"repro/internal/relation"
 )
 
-// parentFrame frames payload exactly as the pre-framedLog appendFrame and
-// appendVectorFrame did, spelled out so the layout is pinned independently
-// of the code under test.
+// parentFrame frames payload exactly as the pre-framedLog appendFrame did,
+// spelled out so the layout is pinned independently of the code under test.
 func parentFrame(payload []byte) []byte {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
@@ -23,10 +22,9 @@ func parentFrame(payload []byte) []byte {
 	return append(hdr[:], payload...)
 }
 
-// TestParentLayoutOpensAndReplays writes a store directory and a vector log
-// byte for byte as the commit before the framedLog fold would have, and
-// checks this code opens, loads and replays them — and writes the same bytes
-// back.
+// TestParentLayoutOpensAndReplays writes a store directory byte for byte as
+// the commit before the framedLog fold would have, and checks this code
+// opens, loads and replays it — and writes the same bytes back.
 func TestParentLayoutOpensAndReplays(t *testing.T) {
 	dir := t.TempDir()
 	db := relation.NewDatabase("compat")
@@ -60,31 +58,6 @@ func TestParentLayoutOpensAndReplays(t *testing.T) {
 	want := append(wal, parentFrame(appendMutation(nil, 5, testMutation(5)))...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("a WAL append no longer produces the parent's bytes")
-	}
-
-	// Vector payload by hand: uvarint gen, uvarint shard count, the vector.
-	vpath := filepath.Join(dir, "vector.log")
-	vlog := append(parentFrame([]byte{1, 2, 1, 0}), parentFrame([]byte{2, 2, 1, 1})...)
-	if err := os.WriteFile(vpath, vlog, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	v, err := OpenVectorLog(vpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Close()
-	if gen, vec, ok := v.Last(); !ok || gen != 2 || !reflect.DeepEqual(vec, []uint64{1, 1}) {
-		t.Fatalf("Last = (%d, %v, %v), want (2, [1 1], true)", gen, vec, ok)
-	}
-	if err := v.Append(3, []uint64{2, 1}); err != nil {
-		t.Fatal(err)
-	}
-	got, err = os.ReadFile(vpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := append(vlog, parentFrame([]byte{3, 2, 2, 1})...); !bytes.Equal(got, want) {
-		t.Fatal("a vector append no longer produces the parent's bytes")
 	}
 }
 
@@ -132,40 +105,5 @@ func TestFsyncFailurePoisonsWAL(t *testing.T) {
 	gens, _ := collectReplay(t, r, 2)
 	if len(gens) > 1 || (len(gens) == 1 && gens[0] != 3) {
 		t.Fatalf("recovered %v past generation 2, want nothing or the orphan 3", gens)
-	}
-}
-
-// TestFsyncFailurePoisonsVectorLog is TestFsyncFailurePoisonsWAL for the
-// sharded commit log, which had the same bug in its own copy of the code.
-func TestFsyncFailurePoisonsVectorLog(t *testing.T) {
-	dir := t.TempDir()
-	v := openVectorLog(t, dir)
-	for g := uint64(1); g <= 2; g++ {
-		if err := v.Append(g, []uint64{g, g}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	failNextFsync(v.log)
-	if err := v.Append(3, []uint64{3, 3}); !errors.Is(err, errDisk) {
-		t.Fatalf("Append with failing fsync = %v, want the injected error", err)
-	}
-	if err := v.Append(3, []uint64{3, 3}); !errors.Is(err, errDisk) {
-		t.Fatalf("retry = %v, want the sticky first error", err)
-	}
-	if err := v.Compact(); !errors.Is(err, errDisk) {
-		t.Fatalf("Compact on a poisoned log = %v, want the sticky first error", err)
-	}
-	if gen, _, ok := v.Last(); !ok || gen != 2 {
-		t.Fatalf("Last on a poisoned log = (%d, %v), want the acknowledged 2", gen, ok)
-	}
-	v.Close()
-
-	r, err := OpenVectorLog(filepath.Join(dir, "vector.log"))
-	if err != nil {
-		t.Fatalf("reopen after a failed fsync: %v", err)
-	}
-	defer r.Close()
-	if gen, _, ok := r.Last(); !ok || gen < 2 || gen > 3 {
-		t.Fatalf("recovered generation %d (%v), want 2 or the orphan 3", gen, ok)
 	}
 }

@@ -33,17 +33,17 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzFrameScan fuzzes the one frame scanner under both logs. On arbitrary
+// FuzzFrameScan fuzzes the one frame scanner under the WAL. On arbitrary
 // bytes it must not panic, must stop inside the input, and whatever prefix it
 // accepts must be stable: rescanning data[:validEnd] yields the same records
 // with no error, and a valid frame appended there scans as one more record —
 // the property recovery relies on when it truncates a torn tail and resumes
 // appending. The seeds are the torn-header, torn-payload, bad-final-CRC,
-// oversized-length and mid-log-corruption shapes the WAL and vector-log
-// tests build by hand.
+// oversized-length and mid-log-corruption shapes the WAL tests build by
+// hand.
 func FuzzFrameScan(f *testing.F) {
 	one := appendFrame(nil, appendMutation(nil, 1, testMutation(1)))
-	two := appendFrame(one, appendVector(nil, 2, []uint64{2, 1}))
+	two := appendFrame(one, appendMutation(nil, 2, testMutation(2)))
 	f.Add([]byte{})
 	f.Add(two)
 	f.Add(two[:len(one)+3])                                                          // torn header

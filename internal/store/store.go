@@ -81,10 +81,7 @@ type Store interface {
 	// and truncates the WAL records it makes redundant (gen and below).
 	Snapshot(gen uint64, db *relation.Database) error
 	// TruncateAfter durably drops logged records with generation greater
-	// than gen. The dropped records must never have been acknowledged: the
-	// sharded commit protocol uses it to roll back per-shard appends of an
-	// aborted batch and to discard records beyond the committed generation
-	// vector during recovery.
+	// than gen. The dropped records must never have been acknowledged.
 	TruncateAfter(gen uint64) error
 	// Load returns the latest durable snapshot and its generation, or
 	// (nil, 0, nil) when no snapshot exists.

@@ -108,10 +108,6 @@ type CacheInfo struct {
 	// Generation is the engine generation the returned results belong to —
 	// the generation current when the call entered the cache.
 	Generation uint64
-	// Vector is the per-shard generation vector of that generation for a
-	// sharded engine (nil otherwise): the exact cross-shard cut the results
-	// were computed on — or stored under, for a hit.
-	Vector []uint64
 }
 
 // cacheShard is one independently locked LRU segment.
@@ -191,17 +187,7 @@ func (c *Cache) SearchUncached(ctx context.Context, q Query) ([]Result, CacheInf
 	c.bypasses.Add(1)
 	snap := c.engine.current()
 	results, err := c.engine.searchOn(ctx, snap, q)
-	return results, cacheInfoFor(snap), err
-}
-
-// cacheInfoFor stamps a call's CacheInfo with the pinned snapshot's
-// generation and, for sharded engines, its generation vector.
-func cacheInfoFor(snap *snapshot) CacheInfo {
-	info := CacheInfo{Generation: snap.gen}
-	if snap.shards != nil {
-		info.Vector = snap.shards.Vector()
-	}
-	return info
+	return results, CacheInfo{Generation: snap.gen}, err
 }
 
 // SearchInfo is Search plus a report of how the call was served (hit,
@@ -219,8 +205,8 @@ func (c *Cache) SearchInfo(ctx context.Context, q Query) ([]Result, CacheInfo, e
 	// exactly that snapshot, so a stored entry is the pinned generation's
 	// output even when Apply publishes newer generations mid-search.
 	snap := c.engine.current()
-	info := cacheInfoFor(snap)
-	key := snapCacheKey(snap, rq)
+	info := CacheInfo{Generation: snap.gen}
+	key := cacheKey(snap.gen, rq)
 	shard := c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
 
 	shard.mu.Lock()
@@ -351,28 +337,6 @@ func cacheKey(gen uint64, q Query) string {
 	for _, kw := range q.Keywords {
 		// Length-prefix each keyword so no join separator can be spoofed.
 		fmt.Fprintf(&b, "|%d:%s", len(kw), kw)
-	}
-	return b.String()
-}
-
-// snapCacheKey is cacheKey extended with the snapshot's shard generation
-// vector: sharded entries are keyed by the exact cross-shard cut, so a hit
-// certifies every shard's generation, not just the global counter. For an
-// unsharded engine it is cacheKey exactly.
-func snapCacheKey(snap *snapshot, q Query) string {
-	key := cacheKey(snap.gen, q)
-	if snap.shards == nil {
-		return key
-	}
-	var b strings.Builder
-	b.Grow(len(key) + 4 + 8*len(snap.shards.Parts))
-	b.WriteString(key)
-	b.WriteString("|v")
-	for i, g := range snap.shards.Vector() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(g, 10))
 	}
 	return b.String()
 }

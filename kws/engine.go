@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/ranking"
 	"repro/internal/relation"
-	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/internal/symtab"
 )
@@ -52,11 +52,6 @@ type Config struct {
 	store            store.Store
 	snapshotEvery    int
 	snapshotEverySet bool
-
-	// Sharding wiring, set through WithShards and WithShardStores (see
-	// shard.go). Unexported for the same reason as the store fields.
-	shards      int
-	shardStores *shard.Stores
 }
 
 // Result is one ranked answer.
@@ -112,14 +107,6 @@ type Engine struct {
 	snap atomic.Pointer[snapshot]
 	// applyMu serializes writers (Apply publishes generations one at a time).
 	applyMu sync.Mutex
-	// stageMu serializes the composed-substrate staging of SHARDED batches.
-	// Staging extends the published snapshot's copy-on-write symbol tables,
-	// which tolerates many extensions of one parent but not concurrent ones;
-	// the unsharded path stages under applyMu, while sharded batches stage
-	// before taking applyMu (so disjoint-shard prepares overlap) and hold
-	// this lock for exactly the staging call. Lock order: applyMu may be
-	// held when taking stageMu, never the reverse.
-	stageMu sync.Mutex
 
 	// Durability (nil store means memory-only; see persist.go). replayed and
 	// replayDur are written once by New before the engine escapes; snapErrs
@@ -129,10 +116,6 @@ type Engine struct {
 	replayed      int64
 	replayDur     time.Duration
 	snapErrs      atomic.Int64
-
-	// group coordinates the shard engines of a sharded engine (see
-	// shard.go); nil means unsharded, and every write takes today's path.
-	group *shard.Group
 }
 
 // snapshot is one immutable generation of the engine's substrates plus its
@@ -143,10 +126,6 @@ type Engine struct {
 type snapshot struct {
 	gen  uint64
 	comp Components
-	// shards is the published cross-shard cut of a sharded engine: readers
-	// pinning this snapshot pin every shard's generation at once. Nil for
-	// unsharded engines.
-	shards *shard.States
 
 	mu        sync.Mutex
 	searchers map[EngineKind]Searcher
@@ -231,7 +210,7 @@ func New(db *Database, opts ...Option) (*Engine, error) {
 	if cfg.MaxJoins <= 0 {
 		cfg.MaxJoins = 5
 	}
-	if (cfg.store != nil || cfg.shardStores != nil) && !cfg.snapshotEverySet {
+	if cfg.store != nil && !cfg.snapshotEverySet {
 		cfg.snapshotEvery = defaultSnapshotEvery
 	}
 	// Validate the configured names first: an unknown engine or ranking
@@ -252,40 +231,6 @@ func New(db *Database, opts ...Option) (*Engine, error) {
 		if loaded != nil {
 			inner, baseGen = loaded, gen
 		}
-	}
-	// Sharded engines partition the seed (or recover the partitions from the
-	// per-shard stores) before anything is built; the composed database of a
-	// recovered group replaces the seed exactly as a store snapshot does.
-	var (
-		group  *shard.Group
-		states *shard.States
-	)
-	if cfg.shards > 1 || cfg.shardStores != nil {
-		if cfg.store != nil {
-			return nil, fmt.Errorf("kws: WithStore cannot be combined with WithShards; use WithShardStores")
-		}
-		n := cfg.shards
-		if cfg.shardStores != nil {
-			if n > 1 && n != cfg.shardStores.Shards() {
-				return nil, fmt.Errorf("kws: WithShards(%d) disagrees with the %d-shard store layout", n, cfg.shardStores.Shards())
-			}
-			n = cfg.shardStores.Shards()
-		}
-		g, err := shard.NewGroup(shard.NewPartitioner(n), cfg.shardStores)
-		if err != nil {
-			return nil, err
-		}
-		st, composed, err := g.Recover(inner, cfg.Parallelism)
-		if err != nil {
-			if cfg.shardStores != nil {
-				return nil, fmt.Errorf("%w: %v", ErrPersistence, err)
-			}
-			return nil, err
-		}
-		if composed != nil {
-			inner, baseGen = composed, st.Gen
-		}
-		group, states = g, st
 	}
 	if err := inner.Validate(); err != nil {
 		return nil, err
@@ -330,13 +275,7 @@ func New(db *Database, opts ...Option) (*Engine, error) {
 		}()
 		wg.Wait()
 	}
-	e := &Engine{defaults: cfg, labeler: labeler, store: cfg.store, snapshotEvery: cfg.snapshotEvery, group: group}
-	if group != nil {
-		// Sharded recovery replayed the per-shard WALs inside the group;
-		// surface its cost through the same PersistStats fields the unsharded
-		// replay below fills in.
-		e.replayed, e.replayDur = group.Replayed()
-	}
+	e := &Engine{defaults: cfg, labeler: labeler, store: cfg.store, snapshotEvery: cfg.snapshotEvery}
 	e.snap.Store(&snapshot{
 		gen: baseGen,
 		comp: Components{
@@ -345,7 +284,6 @@ func New(db *Database, opts ...Option) (*Engine, error) {
 			Index:    idx,
 			Analyzer: analyzer,
 		},
-		shards:    states,
 		searchers: make(map[EngineKind]Searcher),
 	})
 	if e.store != nil {
@@ -366,9 +304,10 @@ func (e *Engine) current() *snapshot { return e.snap.Load() }
 // Apply.
 func (e *Engine) Generation() uint64 { return e.current().gen }
 
-// resolve fills a query's zero options from the engine defaults. The engine
-// kind is validated by the searcher lookup that follows every resolve;
-// ranking is validated by scorerFor on the paths that rank.
+// resolve fills a query's zero options from the engine defaults and rejects
+// a non-finite looseness lambda. The engine kind is validated by the
+// searcher lookup that follows every resolve; ranking is validated by
+// scorerFor on the paths that rank.
 func (e *Engine) resolve(q Query) (Query, error) {
 	if len(q.Keywords) == 0 {
 		return q, fmt.Errorf("kws: empty query")
@@ -394,6 +333,9 @@ func (e *Engine) resolve(q Query) (Query, error) {
 	}
 	if q.LoosenessLambda == 0 {
 		q.LoosenessLambda = e.defaults.LoosenessLambda
+	}
+	if math.IsNaN(q.LoosenessLambda) || math.IsInf(q.LoosenessLambda, 0) {
+		return q, fmt.Errorf("kws: looseness lambda %v is not a finite number", q.LoosenessLambda)
 	}
 	if q.Labeler == nil {
 		q.Labeler = e.labeler
@@ -430,26 +372,13 @@ func (s *snapshot) searcher(kind EngineKind) (Searcher, error) {
 	if ok {
 		return cached, nil
 	}
-	var built Searcher
-	if s.shards != nil && kind == EnginePaths {
-		// Sharded generations answer paths queries through the
-		// scatter-gather matcher pinned to this snapshot's cut; every other
-		// kind (and every unsharded engine) builds through the registry.
-		b, err := newShardedPathsSearcher(s.comp, s.shards)
-		if err != nil {
-			return nil, fmt.Errorf("kws: engine %q: %w", kind, err)
-		}
-		built = b
-	} else {
-		f, err := engineFactory(kind)
-		if err != nil {
-			return nil, err
-		}
-		b, err := f(s.comp)
-		if err != nil {
-			return nil, fmt.Errorf("kws: engine %q: %w", kind, err)
-		}
-		built = b
+	f, err := engineFactory(kind)
+	if err != nil {
+		return nil, err
+	}
+	built, err := f(s.comp)
+	if err != nil {
+		return nil, fmt.Errorf("kws: engine %q: %w", kind, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -502,6 +431,10 @@ func (e *Engine) searchOn(ctx context.Context, snap *snapshot, q Query) ([]Resul
 	}
 	results := make([]Result, 0, len(ranked))
 	for _, rk := range ranked {
+		if math.IsNaN(rk.Score) || math.IsInf(rk.Score, 0) {
+			// No JSON number carries it, so no client could decode the result.
+			return nil, fmt.Errorf("kws: ranking %q produced the non-finite score %v", rq.Ranking, rk.Score)
+		}
 		a := byKey[rk.Item.Analysis.Connection.Key()]
 		results = append(results, toResult(a, rk.Rank, rk.Score, rq.Labeler))
 	}

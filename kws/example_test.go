@@ -57,52 +57,6 @@ func ExampleEngine_Apply() {
 	// matches: [e5]
 }
 
-// ExampleEngine_sharded partitions the engine into three scatter-gather
-// shards. Search output is byte-identical to the unsharded engine; what
-// changes is the commit bookkeeping: a mutation advances only the vector
-// entries of the shards it touches.
-func ExampleEngine_sharded() {
-	engine, err := kws.New(kws.PaperExample(),
-		kws.WithLabeler(kws.PaperLabeler()),
-		kws.WithShards(3),
-	)
-	if err != nil {
-		panic(err)
-	}
-	ctx := context.Background()
-	results, err := engine.Search(ctx, kws.Query{
-		Keywords: []string{"Smith", "XML"},
-		Ranking:  kws.RankCloseFirst,
-		MaxJoins: 3,
-		TopK:     1,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("top:", results[0].Connection)
-
-	// One insert touches one shard: the composed generation advances by
-	// one, and exactly one vector entry moves with it.
-	gen, err := engine.Apply(ctx, kws.Mutation{Ops: []kws.Op{
-		kws.Insert("EMPLOYEE", map[string]any{
-			"SSN": "e5", "L_NAME": "Turing", "S_NAME": "Alan", "D_ID": "d1",
-		}),
-	}})
-	if err != nil {
-		panic(err)
-	}
-	var touched int
-	for _, g := range engine.GenerationVector() {
-		touched += int(g)
-	}
-	fmt.Println("generation:", gen)
-	fmt.Println("vector entries advanced:", touched)
-	// Output:
-	// top: e1(Smith) - d1(XML)
-	// generation: 1
-	// vector entries advanced: 1
-}
-
 // ExampleCache fronts an engine with the generation-keyed result cache: the
 // second identical query is a hit, and a mutation implicitly invalidates it
 // by publishing a new generation.

@@ -102,9 +102,6 @@ type Mutation struct {
 // publishes nothing. Automatic snapshot failures after publication never
 // fail Apply — see PersistStats.SnapshotErrors.
 func (e *Engine) Apply(ctx context.Context, m Mutation) (uint64, error) {
-	if e.group != nil {
-		return e.applySharded(ctx, m)
-	}
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	snap := e.current()
@@ -137,22 +134,13 @@ func (e *Engine) Apply(ctx context.Context, m Mutation) (uint64, error) {
 // not publish — the next generation. Apply publishes the result after the
 // durability append; WAL replay publishes it directly. Callers hold applyMu.
 func (e *Engine) stage(ctx context.Context, snap *snapshot, m Mutation) (*snapshot, error) {
-	next, _, _, err := e.stageNet(ctx, snap, m)
-	return next, err
-}
-
-// stageNet is stage exposing the batch's net tuple delta alongside the built
-// snapshot: the sharded apply path splits that delta by owner shard to drive
-// the per-shard engines, while the composed substrates it maintains here stay
-// the single source every reader answers from.
-func (e *Engine) stageNet(ctx context.Context, snap *snapshot, m Mutation) (*snapshot, []*relation.Tuple, []*relation.Tuple, error) {
 	st := newStager(snap.comp.DB)
 	for i, op := range m.Ops {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if err := st.apply(op); err != nil {
-			return nil, nil, nil, fmt.Errorf("kws: apply: op %d (%s %s): %w", i, op.Kind, op.Table, err)
+			return nil, fmt.Errorf("kws: apply: op %d (%s %s): %w", i, op.Kind, op.Table, err)
 		}
 	}
 	removed, added := st.net()
@@ -162,7 +150,7 @@ func (e *Engine) stageNet(ctx context.Context, snap *snapshot, m Mutation) (*sna
 	// mapping carry over; only the analyzer's database binding is refreshed.
 	analyzer, err := core.NewAnalyzer(st.db, snap.comp.Analyzer.Schema(), snap.comp.Analyzer.Mapping())
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	return &snapshot{
 		gen: snap.gen + 1,
@@ -173,7 +161,7 @@ func (e *Engine) stageNet(ctx context.Context, snap *snapshot, m Mutation) (*sna
 			Analyzer: analyzer,
 		},
 		searchers: make(map[EngineKind]Searcher),
-	}, removed, added, nil
+	}, nil
 }
 
 // stager accumulates a mutation batch over a copy-on-write clone of the

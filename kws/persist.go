@@ -99,28 +99,8 @@ type PersistStats struct {
 }
 
 // PersistStats returns the engine's durability state; ok is false when the
-// engine was built without WithStore (or without WithShardStores, for
-// sharded engines). A sharded engine reports the sums across its per-shard
-// stores, with SnapshotGeneration the lowest shard snapshot — the bound on
-// replay depth; ShardStats breaks the same numbers out per shard.
+// engine was built without WithStore.
 func (e *Engine) PersistStats() (stats PersistStats, ok bool) {
-	if e.group != nil && e.group.Durable() {
-		stats = PersistStats{
-			ReplayedRecords: e.replayed,
-			ReplayDuration:  e.replayDur,
-			SnapshotErrors:  e.snapErrs.Load(),
-		}
-		for s := 0; s < e.group.Shards(); s++ {
-			st := e.group.Stores().Shard(s).Stats()
-			stats.WALBytes += st.WALBytes
-			stats.WALRecords += st.WALRecords
-			stats.SnapshotBytes += st.SnapshotBytes
-			if s == 0 || st.SnapshotGen < stats.SnapshotGeneration {
-				stats.SnapshotGeneration = st.SnapshotGen
-			}
-		}
-		return stats, true
-	}
 	if e.store == nil {
 		return PersistStats{}, false
 	}
@@ -141,18 +121,6 @@ func (e *Engine) PersistStats() (stats PersistStats, ok bool) {
 // and is a no-op on an engine without a store. kwsd calls it on graceful
 // shutdown so the next boot loads one snapshot instead of replaying the log.
 func (e *Engine) Checkpoint() error {
-	if e.group != nil {
-		if !e.group.Durable() {
-			return nil
-		}
-		e.applyMu.Lock()
-		defer e.applyMu.Unlock()
-		if err := e.group.Checkpoint(e.current().shards); err != nil {
-			e.snapErrs.Add(1)
-			return fmt.Errorf("%w: %v", ErrPersistence, err)
-		}
-		return nil
-	}
 	if e.store == nil {
 		return nil
 	}

@@ -99,7 +99,8 @@ type Query struct {
 	// most expensive part of result annotation.
 	InstanceChecks Toggle
 	// LoosenessLambda is the penalty per transitive N:M sub-path used by
-	// RankLoosenessPenalty (0 = the engine default).
+	// RankLoosenessPenalty (0 = the engine default). NaN and ±Inf are
+	// rejected, and so is a query whose penalty overflows a score to ±Inf.
 	LoosenessLambda float64
 	// Labeler renders tuple identifiers in this query's results (nil = the
 	// engine's labeler, which defaults to TupleID.String).
