@@ -30,12 +30,45 @@ import (
 	"repro/internal/index"
 	"repro/internal/paperdb"
 	"repro/internal/ranking"
+	"repro/internal/relation"
 	"repro/internal/search/banks"
 	"repro/internal/search/mtjnt"
 	"repro/internal/search/paths"
+	"repro/internal/symtab"
 	"repro/internal/workload"
 	"repro/kws"
 )
+
+// buildGraph and buildIndex build one substrate over the database's
+// canonical tuple table with the given worker count (0 means GOMAXPROCS).
+func buildGraph(db *relation.Database, workers int) *datagraph.Graph {
+	return datagraph.BuildParallelWith(db, symtab.ForDatabase(db), workers)
+}
+
+func buildIndex(db *relation.Database, workers int) *index.Index {
+	return index.BuildParallelWith(db, symtab.ForDatabase(db), workers)
+}
+
+// paperAnswers runs the paper's "Smith XML" query within 3 joins through the
+// connection-enumeration engine, with AND semantics and corroboration.
+func paperAnswers(b *testing.B) []paths.Answer {
+	b.Helper()
+	db := paperdb.MustLoad()
+	analyzer, err := core.Derive(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
+	engine, err := paths.NewWithComponents(db, buildGraph(db, 0), buildIndex(db, 0), analyzer, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return answers
+}
 
 // BenchmarkFigure1SchemaConstruction regenerates Figure 1: building the ER
 // schema of the running example and describing its relationships.
@@ -125,15 +158,7 @@ func BenchmarkMTJNTLoss(b *testing.B) {
 // BenchmarkRankingStrategies ranks the "Smith XML" answers under every
 // strategy the experiments compare (E-RANK).
 func BenchmarkRankingStrategies(b *testing.B) {
-	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
-	engine, err := paths.New(paperdb.MustLoad(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	answers := paperAnswers(b)
 	items := make([]ranking.Item, len(answers))
 	for i, a := range answers {
 		items[i] = ranking.Item{Analysis: a.Analysis, Content: a.ContentScore}
@@ -177,8 +202,8 @@ func BenchmarkEnginesComparison(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := datagraph.Build(db)
-	idx := index.Build(db)
+	g := buildGraph(db, 0)
+	idx := buildIndex(db, 0)
 	queries := workload.Queries(4, 42)
 
 	ctx := context.Background()
@@ -225,15 +250,7 @@ func BenchmarkEnginesComparison(b *testing.B) {
 // design choice: analysing and ranking the paper's connections when middle
 // relations are collapsed (ER length) versus counted (RDB length).
 func BenchmarkAblationERLength(b *testing.B) {
-	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
-	engine, err := paths.New(paperdb.MustLoad(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	answers := paperAnswers(b)
 	items := make([]ranking.Item, len(answers))
 	for i, a := range answers {
 		items[i] = ranking.Item{Analysis: a.Analysis, Content: a.ContentScore}
@@ -273,7 +290,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	db := workload.MustGenerate(workload.ScaledConfig(4, 42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := index.Build(db)
+		idx := buildIndex(db, 0)
 		if idx.DocCount() == 0 {
 			b.Fatal("empty index")
 		}
@@ -286,7 +303,7 @@ func BenchmarkDataGraphBuild(b *testing.B) {
 	db := workload.MustGenerate(workload.ScaledConfig(4, 42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := datagraph.Build(db)
+		g := buildGraph(db, 0)
 		if g.NodeCount() == 0 {
 			b.Fatal("empty graph")
 		}
@@ -301,8 +318,8 @@ func BenchmarkConnectionAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := datagraph.Build(db)
-	idx := index.Build(db)
+	g := buildGraph(db, 0)
+	idx := buildIndex(db, 0)
 	var conns []core.Connection
 	for from := range idx.KeywordTuples("XML") {
 		for to := range idx.KeywordTuples("Smith") {
@@ -425,7 +442,7 @@ func BenchmarkDataGraphBuildParallel(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				g := datagraph.BuildParallel(db, workers)
+				g := buildGraph(db, workers)
 				if g.NodeCount() == 0 {
 					b.Fatal("empty graph")
 				}
@@ -441,7 +458,7 @@ func BenchmarkIndexBuildParallel(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				idx := index.BuildParallel(db, workers)
+				idx := buildIndex(db, workers)
 				if idx.DocCount() == 0 {
 					b.Fatal("empty index")
 				}
@@ -454,7 +471,7 @@ func BenchmarkIndexBuildParallel(b *testing.B) {
 // expansions of the BANKS engine against the sequential path.
 func BenchmarkBANKSParallelExpansion(b *testing.B) {
 	db := workload.MustGenerate(workload.ScaledConfig(4, 42))
-	engine, err := banks.NewWithComponents(db, datagraph.Build(db), index.Build(db), banks.Options{})
+	engine, err := banks.NewWithComponents(db, buildGraph(db, 0), buildIndex(db, 0), banks.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -486,7 +503,7 @@ func BenchmarkPathsParallelEnumeration(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := paths.NewWithComponents(db, datagraph.Build(db), index.Build(db), analyzer, paths.Options{})
+	engine, err := paths.NewWithComponents(db, buildGraph(db, 0), buildIndex(db, 0), analyzer, paths.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -525,7 +542,7 @@ func BenchmarkAnnotationPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine, err := paths.NewWithComponents(db, datagraph.Build(db), index.Build(db), analyzer, paths.Options{})
+	engine, err := paths.NewWithComponents(db, buildGraph(db, 0), buildIndex(db, 0), analyzer, paths.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -566,41 +583,6 @@ func benchSearchableQueries(b *testing.B, probe func(keywords []string) error) [
 		b.Fatal("no searchable benchmark queries")
 	}
 	return out
-}
-
-// BenchmarkSearchBatch measures serving a mixed batch of queries through
-// Engine.SearchBatch at batch parallelism 1 and GOMAXPROCS — the
-// millions-of-users serving shape.
-func BenchmarkSearchBatch(b *testing.B) {
-	queries := make([]kws.Query, 0, 16)
-	for _, q := range workload.Queries(16, 42) {
-		queries = append(queries, kws.Query{Keywords: q.Keywords, MaxJoins: 3})
-	}
-	ctx := context.Background()
-	for _, workers := range []int{1, 0} {
-		engine, err := kws.New(kws.SyntheticCompany(2, 42), kws.WithParallelism(workers))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm the lazily built searcher outside the timed loop.
-		engine.SearchBatch(ctx, queries[:1])
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				results := engine.SearchBatch(ctx, queries)
-				// Generated keywords may miss at small scales; require only
-				// that the batch answered something.
-				answered := 0
-				for _, r := range results {
-					if r.Err == nil {
-						answered++
-					}
-				}
-				if answered == 0 {
-					b.Fatal("no query in the batch succeeded")
-				}
-			}
-		})
-	}
 }
 
 func benchName(prefix string, n int) string {

@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/paperdb"
-	"repro/internal/store"
 	"repro/kws"
 )
 
@@ -115,7 +114,7 @@ func run(ctx context.Context, addr, database string, scale int, seed int64, para
 		if _, err := os.Stat(filepath.Join(dataDir, "meta", "vector.log")); err == nil {
 			return fmt.Errorf("%s holds a sharded data layout (meta/vector.log), which kwsd cannot serve", dataDir)
 		}
-		st, err := store.Open(dataDir)
+		st, err := kws.OpenStore(dataDir)
 		if err != nil {
 			return err
 		}

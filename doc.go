@@ -4,15 +4,14 @@
 //
 // The public API lives in the kws package: a goroutine-safe Engine serves
 // context-aware keyword queries — Engine.Search(ctx, Query) for ranked
-// batches, Engine.Stream / Engine.Results for incremental consumption,
-// Engine.SearchBatch(ctx, []Query) for many queries at once — and every
+// results and Engine.Stream for incremental consumption — and every
 // per-query option (engine kind, ranking strategy, join budget, TopK,
 // instance checks, labeler, parallelism) travels in the Query, so one Engine
 // handles many concurrent callers with different settings. Search strategies
 // and ranking strategies are pluggable through kws.RegisterEngine and
 // kws.RegisterRanker.
 //
-// Concurrency and batching: substrate construction (kws.New, the tuple graph
+// Per-query parallelism: substrate construction (kws.New, the tuple graph
 // and the inverted index), the BANKS keyword expansions and the paths
 // per-source enumerations all fan out across bounded worker pools with
 // deterministic merges, so results are identical at any parallelism. In the
@@ -20,9 +19,8 @@
 // corroboration, content scoring — additionally runs as an ordered pipeline
 // behind the dedup stage: a bounded pool annotates many answers at once
 // while an order-preserving emitter yields them in exactly the sequential
-// order. kws.WithParallelism bounds the engine-wide concurrency (including
-// how many batched queries run at once) and Query.Parallelism overrides it
-// per call.
+// order. kws.WithParallelism bounds the engine-wide concurrency and
+// Query.Parallelism overrides it per call.
 //
 // Live updates and snapshots: the engine serves a sequence of immutable
 // generations. Engine.Apply takes a batched Mutation (inserts, deletes,
@@ -32,8 +30,7 @@
 // result as the next generation; a from-scratch rebuild of the mutated
 // database would produce byte-identical search output, and the
 // rebuild-equivalence property tests in kws enforce exactly that. Readers
-// never block and never tear: an in-flight Search, Stream or SearchBatch
-// call keeps the generation it started on while writers queue behind each
+// never block and never tear: an in-flight Search or Stream call keeps the generation it started on while writers queue behind each
 // other. Once a Database has been handed to kws.New it freezes — direct
 // Insert/AddTable/LoadCSV calls fail with kws.ErrFrozenDatabase instead of
 // silently diverging from the engine's substrates.

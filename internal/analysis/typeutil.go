@@ -73,29 +73,6 @@ func CalleeName(info *types.Info, call *ast.CallExpr) string {
 	return fn.FullName()
 }
 
-// ObjectOf returns the object an identifier expression resolves to, seeing
-// through parentheses; nil for non-identifiers.
-func ObjectOf(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-// ReceiverTypeName returns the "pkgpath.Name" of a method's receiver type
-// (pointer receivers included), or "" for plain functions.
-func ReceiverTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	return TypeName(sig.Recv().Type())
-}
-
 // FuncDeclName renders a declaration's name for messages: "Name" for
 // functions, "Recv.Name" for methods.
 func FuncDeclName(fd *ast.FuncDecl) string {

@@ -68,12 +68,8 @@ func TestTypeHelpers(t *testing.T) {
 	if !IsContext(getFn.Type().(*types.Signature).Params().At(0).Type()) {
 		t.Error("IsContext missed Get's context parameter")
 	}
-	if got := ReceiverTypeName(getFn); got != wantName {
-		t.Errorf("ReceiverTypeName = %q, want %q", got, wantName)
-	}
-	newT := pkg.Types.Scope().Lookup("NewT").(*types.Func)
-	if ReceiverTypeName(newT) != "" {
-		t.Error("ReceiverTypeName of a plain function should be empty")
+	if got := TypeName(getFn.Type().(*types.Signature).Recv().Type()); got != wantName {
+		t.Errorf("TypeName(Get's receiver) = %q, want %q", got, wantName)
 	}
 }
 
@@ -113,20 +109,5 @@ func TestObjectOfAndDeclHelpers(t *testing.T) {
 	}
 	if got := FuncDeclName(decls["NewT"]); got != "NewT" {
 		t.Errorf("FuncDeclName(NewT) = %q, want NewT", got)
-	}
-
-	// ObjectOf resolves identifiers (through parens) and nothing else.
-	var tIdent ast.Expr
-	ast.Inspect(decls["useAll"].Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "t" && tIdent == nil {
-			tIdent = id
-		}
-		return true
-	})
-	if tIdent == nil || ObjectOf(pkg.TypesInfo, tIdent) == nil {
-		t.Error("ObjectOf failed to resolve a local identifier")
-	}
-	if ObjectOf(pkg.TypesInfo, decls["useAll"].Body.List[0].(*ast.AssignStmt).Rhs[0]) != nil {
-		t.Error("ObjectOf of a call expression should be nil")
 	}
 }

@@ -9,7 +9,13 @@ import (
 	"repro/internal/er"
 	"repro/internal/paperdb"
 	"repro/internal/relation"
+	"repro/internal/symtab"
 )
+
+// buildGraph builds the tuple graph of db over its canonical tuple table.
+func buildGraph(db *relation.Database) *datagraph.Graph {
+	return datagraph.BuildParallelWith(db, symtab.ForDatabase(db), 0)
+}
 
 func id(rel, key string) relation.TupleID { return relation.TupleID{Relation: rel, Key: key} }
 
@@ -31,7 +37,7 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatalf("Derive: %v", err)
 	}
-	return &fixture{db: db, graph: datagraph.Build(db), analyzer: an}
+	return &fixture{db: db, graph: buildGraph(db), analyzer: an}
 }
 
 // connect builds a Connection visiting the given tuples in order, resolving

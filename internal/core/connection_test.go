@@ -11,7 +11,7 @@ import (
 )
 
 func TestNewConnectionValidation(t *testing.T) {
-	g := datagraph.Build(paperdb.MustLoad())
+	g := buildGraph(paperdb.MustLoad())
 	e1, d1 := id("EMPLOYEE", "e1"), id("DEPARTMENT", "d1")
 	var edge datagraph.Edge
 	for _, e := range g.Neighbors(e1) {
@@ -42,7 +42,7 @@ func TestNewConnectionValidation(t *testing.T) {
 }
 
 func TestConnectionReverseAndKey(t *testing.T) {
-	g := datagraph.Build(paperdb.MustLoad())
+	g := buildGraph(paperdb.MustLoad())
 	c := connect(t, g, id("DEPARTMENT", "d1"), id("EMPLOYEE", "e3"), id("DEPENDENT", "t1"))
 	r := c.Reverse()
 	if r.Start() != c.End() || r.End() != c.Start() {
@@ -61,7 +61,7 @@ func TestConnectionReverseAndKey(t *testing.T) {
 }
 
 func TestConnectionFormat(t *testing.T) {
-	g := datagraph.Build(paperdb.MustLoad())
+	g := buildGraph(paperdb.MustLoad())
 	c := connect(t, g, id("DEPARTMENT", "d1"), id("EMPLOYEE", "e1"))
 	matched := map[relation.TupleID][]string{
 		id("DEPARTMENT", "d1"): {"XML"},
@@ -89,7 +89,7 @@ func enumerate(t testing.TB, g *datagraph.Graph, from, to relation.TupleID, maxE
 }
 
 func TestEnumerateConnectionsPaperPairs(t *testing.T) {
-	g := datagraph.Build(paperdb.MustLoad())
+	g := buildGraph(paperdb.MustLoad())
 	d1, e1 := id("DEPARTMENT", "d1"), id("EMPLOYEE", "e1")
 
 	// Between d1 and e1 with at most 3 joins the paper's connections 1 and
@@ -124,7 +124,7 @@ func TestEnumerateConnectionsPaperPairs(t *testing.T) {
 }
 
 func TestEnumerateConnectionsEdgeCases(t *testing.T) {
-	g := datagraph.Build(paperdb.MustLoad())
+	g := buildGraph(paperdb.MustLoad())
 	e1 := id("EMPLOYEE", "e1")
 	if got := enumerate(t, g, e1, e1, 3); got != nil {
 		t.Errorf("connections from a tuple to itself = %v", got)
@@ -145,7 +145,7 @@ func TestEnumerateConnectionsEdgeCases(t *testing.T) {
 }
 
 func TestEnumerateConnectionsAreSimplePaths(t *testing.T) {
-	g := datagraph.Build(paperdb.MustLoad())
+	g := buildGraph(paperdb.MustLoad())
 	conns := enumerate(t, g, id("DEPARTMENT", "d2"), id("DEPENDENT", "t1"), 6)
 	if len(conns) == 0 {
 		t.Fatal("expected connections between d2 and t1")

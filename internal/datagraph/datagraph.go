@@ -52,7 +52,7 @@ type DenseEdge struct {
 	FK uint32
 }
 
-// Graph is the tuple graph. It is immutable after Build; ApplyDelta derives
+// Graph is the tuple graph. It is immutable once built; ApplyDelta derives
 // new generations copy-on-write.
 type Graph struct {
 	tuples *symtab.Tuples
@@ -72,26 +72,15 @@ type rawEdge struct {
 	from, to, fk uint32
 }
 
-// Build constructs the tuple graph of the database using one worker per
-// available CPU. Dangling references are skipped (CheckIntegrity reports
-// them); the graph only contains resolved edges.
-func Build(db *relation.Database) *Graph {
-	return BuildParallel(db, 0)
-}
-
-// BuildParallel is Build with an explicit worker count (0 or negative means
-// GOMAXPROCS, 1 is the fully sequential path). It derives the canonical
-// tuple-ID table itself; use BuildParallelWith to share one with the
-// inverted index.
-func BuildParallel(db *relation.Database, workers int) *Graph {
-	return BuildParallelWith(db, symtab.ForDatabase(db), workers)
-}
-
-// BuildParallelWith builds the graph over a pre-interned tuple table, which
-// must contain every tuple of db (symtab.ForDatabase order). Tables are
-// resolved by up to `workers` goroutines and their edge lists are merged in
-// table order, so the resulting graph is identical to a sequential build
-// regardless of the worker count. Workers only read the tuple table.
+// BuildParallelWith builds the tuple graph of the database over a
+// pre-interned tuple table, which must contain every tuple of db
+// (symtab.ForDatabase order). Dangling references are skipped
+// (CheckIntegrity reports them); the graph only contains resolved edges.
+// Tables are resolved by up to `workers` goroutines (0 or negative means
+// GOMAXPROCS, 1 is the fully sequential path) and their edge lists are
+// merged in table order, so the resulting graph is identical to a
+// sequential build regardless of the worker count. Workers only read the
+// tuple table.
 func BuildParallelWith(db *relation.Database, tuples *symtab.Tuples, workers int) *Graph {
 	tables := db.Tables()
 	g := &Graph{tuples: tuples, fks: symtab.NewStrings()}

@@ -5,7 +5,15 @@ import (
 
 	"repro/internal/paperdb"
 	"repro/internal/relation"
+	"repro/internal/symtab"
 )
+
+// build is BuildParallelWith over the database's canonical tuple table.
+func build(db *relation.Database) *Graph { return buildParallel(db, 0) }
+
+func buildParallel(db *relation.Database, workers int) *Graph {
+	return BuildParallelWith(db, symtab.ForDatabase(db), workers)
+}
 
 func id(rel, key string) relation.TupleID { return relation.TupleID{Relation: rel, Key: key} }
 
@@ -15,7 +23,7 @@ func wid(essn, pid string) relation.TupleID {
 
 func paperGraph(t testing.TB) *Graph {
 	t.Helper()
-	return Build(paperdb.MustLoad())
+	return build(paperdb.MustLoad())
 }
 
 func TestBuildFigure2Graph(t *testing.T) {
@@ -152,7 +160,7 @@ func TestConnectedComponents(t *testing.T) {
 	if _, err := a.Insert(map[string]relation.Value{"ID": relation.String("y")}); err != nil {
 		t.Fatal(err)
 	}
-	g2 := Build(db)
+	g2 := build(db)
 	for _, key := range []string{"x", "y"} {
 		if got := len(hops(g2, id("A", key))); got != 1 {
 			t.Errorf("component of isolated %s has %d nodes, want 1", key, got)
@@ -177,7 +185,7 @@ func TestDanglingReferencesAreSkipped(t *testing.T) {
 	if _, err := a.Insert(map[string]relation.Value{"ID": relation.String("a2")}); err != nil {
 		t.Fatal(err)
 	}
-	g := Build(db)
+	g := build(db)
 	if g.EdgeCount() != 0 {
 		t.Errorf("dangling reference should not create an edge, got %d", g.EdgeCount())
 	}
@@ -191,7 +199,7 @@ func TestNodesSortedDeterministically(t *testing.T) {
 	// key) and oriented away from the node — the traversal order all
 	// rendered output is defined by.
 	db := paperdb.MustLoad()
-	g := Build(db)
+	g := build(db)
 	for _, tab := range db.Tables() {
 		for _, tup := range tab.Tuples() {
 			nbrs := g.Neighbors(tup.ID())

@@ -18,9 +18,9 @@ import (
 // an added tuple contributes its own outgoing foreign-key edges and the
 // incoming edges of every tuple referencing its key — including references
 // that dangled before the insert — while a removed tuple takes all of its
-// incident edges with it. Touched adjacency lists are re-sorted with Build's
+// incident edges with it. Touched adjacency lists are re-sorted with the build's
 // string-space comparator, so every rendered view of the result is
-// byte-identical to a fresh Build of db (the internal ID assignments of the
+// byte-identical to a fresh build of db (the internal ID assignments of the
 // two lineages legitimately differ).
 func (g *Graph) ApplyDelta(db *relation.Database, removed, added []*relation.Tuple) *Graph {
 	ng := &Graph{
@@ -131,7 +131,7 @@ func (g *Graph) ApplyDelta(db *relation.Database, removed, added []*relation.Tup
 	}
 
 	// Rewrite every touched adjacency list copy-on-write: filter the queued
-	// drops, append the new entries, and restore Build's sort order.
+	// drops, append the new entries, and restore the build's sort order.
 	touched := make(map[uint32]bool, len(drops)+len(adds))
 	for id := range drops {
 		touched[id] = true
@@ -154,7 +154,7 @@ func (g *Graph) ApplyDelta(db *relation.Database, removed, added []*relation.Tup
 		next = append(next, adds[id]...)
 		ng.sortAdjacency(next)
 		if len(next) == 0 {
-			next = nil // match Build: isolated nodes carry a nil list
+			next = nil // match the build: isolated nodes carry a nil list
 		}
 		ng.adj[id] = next
 	}

@@ -34,7 +34,7 @@ func dump(t testing.TB, g *Graph, db *relation.Database) (map[relation.TupleID][
 func requireEquivalent(t *testing.T, db *relation.Database, inc *Graph) {
 	t.Helper()
 	gotAdj, gotEdges := dump(t, inc, db)
-	wantAdj, wantEdges := dump(t, Build(db), db)
+	wantAdj, wantEdges := dump(t, build(db), db)
 	if gotEdges != wantEdges {
 		t.Fatalf("edge count = %d, fresh build has %d", gotEdges, wantEdges)
 	}
@@ -73,7 +73,7 @@ func ins(t *testing.T, db *relation.Database, table string, row map[string]relat
 
 func TestApplyDeltaInsert(t *testing.T) {
 	db := paperdb.MustLoad()
-	g := Build(db)
+	g := build(db)
 	str := relation.String
 	e5 := ins(t, db, "EMPLOYEE", map[string]relation.Value{
 		"SSN": str("e5"), "L_NAME": str("Turing"), "S_NAME": str("Alan"), "D_ID": str("d3")})
@@ -92,7 +92,7 @@ func TestApplyDeltaInsert(t *testing.T) {
 
 func TestApplyDeltaDeleteRemovesIncidentEdges(t *testing.T) {
 	db := paperdb.MustLoad()
-	g := Build(db)
+	g := build(db)
 	oldDegree := len(g.Neighbors(relation.TupleID{Relation: "DEPARTMENT", Key: "d1"}))
 	if oldDegree == 0 {
 		t.Fatal("fixture: d1 should have edges")
@@ -116,7 +116,7 @@ func TestApplyDeltaDeleteRemovesIncidentEdges(t *testing.T) {
 
 func TestApplyDeltaReResolvesDanglingReferences(t *testing.T) {
 	db := paperdb.MustLoad()
-	g0 := Build(db)
+	g0 := build(db)
 	// Delete a referenced employee, then re-insert it: the dangling
 	// WORKS_ON/DEPENDENT references must resolve again.
 	e3 := del(t, db, "EMPLOYEE", "e3")
@@ -137,7 +137,7 @@ func TestApplyDeltaReResolvesDanglingReferences(t *testing.T) {
 
 func TestApplyDeltaUpdateMovesEdges(t *testing.T) {
 	db := paperdb.MustLoad()
-	g := Build(db)
+	g := build(db)
 	// "Update" e1's department from d1 to d3: remove + add with the same id.
 	old := del(t, db, "EMPLOYEE", "e1")
 	str := relation.String
@@ -161,7 +161,7 @@ func TestApplyDeltaUpdateMovesEdges(t *testing.T) {
 
 func TestApplyDeltaIsolatedAndMissingNodes(t *testing.T) {
 	db := paperdb.MustLoad()
-	g := Build(db)
+	g := build(db)
 	// A department nothing references yet is an isolated node.
 	d9 := ins(t, db, "DEPARTMENT", map[string]relation.Value{
 		"ID": relation.String("d9"), "D_NAME": relation.String("phys")})
@@ -177,7 +177,7 @@ func TestApplyDeltaRandomizedAgainstRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := Build(db)
+	cur := build(db)
 	str := relation.String
 	// Mixed batches over the synthetic database, each applied to the data
 	// first and then to the graph, and checked against a from-scratch build.

@@ -21,9 +21,9 @@ func TestBuildParallelDeterminism(t *testing.T) {
 		{name: "paper", db: paperdb.MustLoad(), workers: []int{4, 0}},
 		{name: "workload", db: workload.MustGenerate(workload.ScaledConfig(2, 42)), workers: []int{8}},
 	} {
-		wantAdj, wantEdges := dump(t, BuildParallel(tc.db, 1), tc.db)
+		wantAdj, wantEdges := dump(t, buildParallel(tc.db, 1), tc.db)
 		for _, workers := range tc.workers {
-			gotAdj, gotEdges := dump(t, BuildParallel(tc.db, workers), tc.db)
+			gotAdj, gotEdges := dump(t, buildParallel(tc.db, workers), tc.db)
 			if gotEdges != wantEdges {
 				t.Fatalf("%s workers=%d: EdgeCount = %d, want %d", tc.name, workers, gotEdges, wantEdges)
 			}

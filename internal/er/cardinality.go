@@ -58,50 +58,11 @@ func (c Cardinality) String() string {
 	return c.Source.String() + ":" + c.Target.String()
 }
 
-// ParseCardinality parses "1:1", "1:N", "N:1", "N:M" (also "M:N", lowercase,
-// and "*" as an alias for the many side).
-func ParseCardinality(s string) (Cardinality, error) {
-	norm := strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(s), " ", ""))
-	parts := strings.Split(norm, ":")
-	if len(parts) != 2 {
-		return Cardinality{}, fmt.Errorf("er: malformed cardinality %q", s)
-	}
-	side := func(p string) (Side, error) {
-		switch p {
-		case "1":
-			return One, nil
-		case "N", "M", "*":
-			return Many, nil
-		default:
-			return One, fmt.Errorf("er: malformed cardinality side %q", p)
-		}
-	}
-	src, err := side(parts[0])
-	if err != nil {
-		return Cardinality{}, err
-	}
-	dst, err := side(parts[1])
-	if err != nil {
-		return Cardinality{}, err
-	}
-	return Cardinality{Source: src, Target: dst}, nil
-}
-
 // Reverse returns the constraint read in the opposite direction
 // (A X:Y B becomes B Y:X A).
 func (c Cardinality) Reverse() Cardinality {
 	return Cardinality{Source: c.Target, Target: c.Source}
 }
-
-// IsFunctionalForward reports whether following the relationship from source
-// to target yields at most one target per source.
-func (c Cardinality) IsFunctionalForward() bool { return c.Target == One }
-
-// IsFunctionalBackward reports whether each target has at most one source.
-func (c Cardinality) IsFunctionalBackward() bool { return c.Source == One }
-
-// IsManyToMany reports whether both sides are Many.
-func (c Cardinality) IsManyToMany() bool { return c.Source == Many && c.Target == Many }
 
 // PathClass classifies a transitive (or immediate) relationship path per the
 // paper's Section 2 definitions.
@@ -152,9 +113,6 @@ func (p PathClass) String() string {
 // extensional level (paper: immediate relationships and transitive
 // functional relationships).
 func (p PathClass) Close() bool { return p == ClassImmediate || p == ClassFunctional }
-
-// AllowsLoose reports whether the class admits loose associations.
-func (p PathClass) AllowsLoose() bool { return p == ClassTransitiveNM || p == ClassMixed }
 
 // ClassifyPath classifies a sequence of cardinality constraints, each read in
 // traversal direction, following the paper's rules.
@@ -270,16 +228,6 @@ func GeneralEntityBridges(steps []Cardinality) int {
 		}
 	}
 	return bridges
-}
-
-// ReversePath returns the path read in the opposite direction: the step
-// order is reversed and every cardinality is reversed.
-func ReversePath(steps []Cardinality) []Cardinality {
-	out := make([]Cardinality, len(steps))
-	for i, s := range steps {
-		out[len(steps)-1-i] = s.Reverse()
-	}
-	return out
 }
 
 // FormatPath renders a path of entity names interleaved with step

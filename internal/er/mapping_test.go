@@ -187,8 +187,8 @@ func TestRoundTripERToRelationalToER(t *testing.T) {
 	}
 	// The derived conceptual schema has the same four entity types and an
 	// N:M relationship between EMPLOYEE and PROJECT via the middle relation.
-	if got := len(derived.EntityNames()); got != 4 {
-		t.Errorf("derived entities = %v", derived.EntityNames())
+	if got := len(derived.Entities()); got != 4 {
+		t.Errorf("derived entities = %v", derived.Entities())
 	}
 	var foundNM bool
 	for _, r := range derived.Relationships() {

@@ -75,20 +75,6 @@ type RelationshipType struct {
 	MiddleRelation string
 }
 
-// Other returns the entity type at the other end of the relationship, and
-// the cardinality read from the given entity. The second return is false
-// when the entity does not participate.
-func (r *RelationshipType) Other(entity string) (string, Cardinality, bool) {
-	switch entity {
-	case r.Source:
-		return r.Target, r.Cardinality, true
-	case r.Target:
-		return r.Source, r.Cardinality.Reverse(), true
-	default:
-		return "", Cardinality{}, false
-	}
-}
-
 // Schema is an ER schema: a named collection of entity types and
 // relationship types.
 type Schema struct {
@@ -179,9 +165,6 @@ func (s *Schema) Entity(name string) (*EntityType, bool) {
 	return e, ok
 }
 
-// EntityNames returns the entity-type names in insertion order.
-func (s *Schema) EntityNames() []string { return append([]string(nil), s.entityOrder...) }
-
 // Entities returns the entity types in insertion order.
 func (s *Schema) Entities() []*EntityType {
 	out := make([]*EntityType, 0, len(s.entityOrder))
@@ -200,18 +183,6 @@ func (s *Schema) Relationship(name string) (*RelationshipType, bool) {
 // Relationships returns the relationship types in insertion order.
 func (s *Schema) Relationships() []*RelationshipType {
 	return append([]*RelationshipType(nil), s.relationships...)
-}
-
-// RelationshipsOf returns the relationships in which the entity type
-// participates, in insertion order.
-func (s *Schema) RelationshipsOf(entity string) []*RelationshipType {
-	var out []*RelationshipType
-	for _, r := range s.relationships {
-		if r.Source == entity || r.Target == entity {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Validate checks the schema: every relationship endpoint exists (enforced

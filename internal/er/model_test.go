@@ -95,11 +95,8 @@ func TestSchemaAddRelationshipValidation(t *testing.T) {
 
 func TestSchemaLookups(t *testing.T) {
 	s := companyER(t)
-	if got := s.EntityNames(); len(got) != 4 || got[0] != "DEPARTMENT" {
-		t.Errorf("EntityNames = %v", got)
-	}
-	if got := len(s.Entities()); got != 4 {
-		t.Errorf("Entities = %d", got)
+	if got := s.Entities(); len(got) != 4 || got[0].Name != "DEPARTMENT" {
+		t.Errorf("Entities = %v", got)
 	}
 	e, ok := s.Entity("EMPLOYEE")
 	if !ok || len(e.Key()) != 1 || e.Key()[0] != "SSN" {
@@ -122,27 +119,35 @@ func TestSchemaLookups(t *testing.T) {
 	if got := len(s.Relationships()); got != 4 {
 		t.Errorf("Relationships = %d", got)
 	}
-	if got := len(s.RelationshipsOf("EMPLOYEE")); got != 3 {
-		t.Errorf("RelationshipsOf(EMPLOYEE) = %d, want 3", got)
-	}
-	if got := len(s.RelationshipsOf("DEPENDENT")); got != 1 {
-		t.Errorf("RelationshipsOf(DEPENDENT) = %d, want 1", got)
+}
+
+// other returns the entity type at the other end of the relationship, and
+// the cardinality read from the given entity. The second return is false
+// when the entity does not participate.
+func other(r *RelationshipType, entity string) (string, Cardinality, bool) {
+	switch entity {
+	case r.Source:
+		return r.Target, r.Cardinality, true
+	case r.Target:
+		return r.Source, r.Cardinality.Reverse(), true
+	default:
+		return "", Cardinality{}, false
 	}
 }
 
 func TestRelationshipOther(t *testing.T) {
 	s := companyER(t)
 	r, _ := s.Relationship("WORKS_FOR")
-	other, card, ok := r.Other("DEPARTMENT")
-	if !ok || other != "EMPLOYEE" || card != OneToMany {
-		t.Errorf("Other(DEPARTMENT) = %s, %v, %v", other, card, ok)
+	end, card, ok := other(r, "DEPARTMENT")
+	if !ok || end != "EMPLOYEE" || card != OneToMany {
+		t.Errorf("other(DEPARTMENT) = %s, %v, %v", end, card, ok)
 	}
-	other, card, ok = r.Other("EMPLOYEE")
-	if !ok || other != "DEPARTMENT" || card != ManyToOne {
-		t.Errorf("Other(EMPLOYEE) = %s, %v, %v", other, card, ok)
+	end, card, ok = other(r, "EMPLOYEE")
+	if !ok || end != "DEPARTMENT" || card != ManyToOne {
+		t.Errorf("other(EMPLOYEE) = %s, %v, %v", end, card, ok)
 	}
-	if _, _, ok := r.Other("PROJECT"); ok {
-		t.Error("Other(PROJECT) should report non-participation")
+	if _, _, ok := other(r, "PROJECT"); ok {
+		t.Error("other(PROJECT) should report non-participation")
 	}
 }
 

@@ -125,22 +125,41 @@ type connectionRow struct {
 	withCards string
 }
 
+// paperEngines loads the paper's running example and builds its graph, index
+// and analyzer once, with the connection-enumeration and MTJNT engines over
+// them.
+func paperEngines() (*paths.Engine, *mtjnt.Engine, error) {
+	db, err := paperdb.Load()
+	if err != nil {
+		return nil, nil, err
+	}
+	g, idx, analyzer, err := buildComponents(db)
+	if err != nil {
+		return nil, nil, err
+	}
+	pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, paths.DefaultOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	mtjntEngine, err := mtjnt.NewWithComponents(db, g, idx, mtjnt.DefaultOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pathEngine, mtjntEngine, nil
+}
+
 // paperAnswers runs a keyword query through the connection-enumeration
 // engine with AND semantics and instance corroboration, within maxEdges joins
 // — the one configuration every paper artifact reads its connections from.
-func paperAnswers(ctx context.Context, db *relation.Database, keywords []string, maxEdges int) ([]paths.Answer, error) {
+func paperAnswers(ctx context.Context, engine *paths.Engine, keywords []string, maxEdges int) ([]paths.Answer, error) {
 	opts := paths.Options{MaxEdges: maxEdges, RequireAllKeywords: true, InstanceCorroboration: true}
-	engine, err := paths.New(db, opts)
-	if err != nil {
-		return nil, err
-	}
 	return engine.SearchContext(ctx, keywords, opts)
 }
 
 // paperRows computes the connections of Tables 2 and 3: the "Smith XML"
 // query within 3 joins plus the "Alice XML" query within 4 joins.
 func paperRows(ctx context.Context) ([]connectionRow, error) {
-	db, err := paperdb.Load()
+	engine, _, err := paperEngines()
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +172,7 @@ func paperRows(ctx context.Context) ([]connectionRow, error) {
 		{paperdb.QueryAliceXML, 4},
 	}
 	for _, spec := range specs {
-		answers, err := paperAnswers(ctx, db, spec.query, spec.maxEdges)
+		answers, err := paperAnswers(ctx, engine, spec.query, spec.maxEdges)
 		if err != nil {
 			return nil, err
 		}
@@ -207,20 +226,15 @@ func Table3(ctx context.Context) (Report, error) {
 // query under the MTJNT principle loses the longer connections (3, 4, 6 and
 // 7 of Table 2) even though they preserve close associations.
 func MTJNTLoss(ctx context.Context) (Report, error) {
-	db, err := paperdb.Load()
+	pathEngine, mtjntEngine, err := paperEngines()
 	if err != nil {
 		return Report{}, err
 	}
-	mtjntOpts := mtjnt.Options{MaxEdges: 3}
-	mtjntEngine, err := mtjnt.New(db, mtjntOpts)
+	all, err := paperAnswers(ctx, pathEngine, paperdb.QuerySmithXML, 3)
 	if err != nil {
 		return Report{}, err
 	}
-	all, err := paperAnswers(ctx, db, paperdb.QuerySmithXML, 3)
-	if err != nil {
-		return Report{}, err
-	}
-	minimal, err := mtjntEngine.SearchContext(ctx, paperdb.QuerySmithXML, mtjntOpts)
+	minimal, err := mtjntEngine.SearchContext(ctx, paperdb.QuerySmithXML, mtjnt.Options{MaxEdges: 3})
 	if err != nil {
 		return Report{}, err
 	}
@@ -247,11 +261,11 @@ func MTJNTLoss(ctx context.Context) (Report, error) {
 // of every "Smith XML" connection under RDB length, ER length and the
 // closeness-aware strategies.
 func RankingComparison(ctx context.Context) (Report, error) {
-	db, err := paperdb.Load()
+	engine, _, err := paperEngines()
 	if err != nil {
 		return Report{}, err
 	}
-	answers, err := paperAnswers(ctx, db, paperdb.QuerySmithXML, 3)
+	answers, err := paperAnswers(ctx, engine, paperdb.QuerySmithXML, 3)
 	if err != nil {
 		return Report{}, err
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/datagraph"
-	"repro/internal/index"
 	"repro/internal/search/banks"
 	"repro/internal/search/mtjnt"
 	"repro/internal/search/paths"
@@ -21,12 +19,10 @@ import (
 func TestEngineInvariantsOnSyntheticDatabases(t *testing.T) {
 	for _, scale := range []int{1, 2} {
 		db := workload.MustGenerate(workload.ScaledConfig(scale, 13))
-		analyzer, err := core.Derive(db)
+		g, idx, analyzer, err := buildComponents(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := datagraph.Build(db)
-		idx := index.Build(db)
 		ctx := context.Background()
 		pathOpts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
 		pathEngine, err := paths.NewWithComponents(db, g, idx, analyzer, pathOpts)
@@ -116,12 +112,10 @@ func TestEngineInvariantsOnSyntheticDatabases(t *testing.T) {
 // steps (the analyzer must not invent or drop looseness).
 func TestAnalyzerAgreesWithSchemaClassification(t *testing.T) {
 	db := workload.MustGenerate(workload.ScaledConfig(1, 29))
-	analyzer, err := core.Derive(db)
+	g, idx, analyzer, err := buildComponents(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := datagraph.Build(db)
-	idx := index.Build(db)
 	checked := 0
 	smithLike := idx.KeywordTuples("Smith")
 	topicLike := idx.KeywordTuples("databases")

@@ -234,11 +234,11 @@ type AblationResult struct {
 // close-association-preserving connections 2, 4 and 7 up and the loose
 // connection 6 down.
 func Ablation(ctx context.Context) ([]AblationResult, Report, error) {
-	db, err := paperdb.Load()
+	engine, _, err := paperEngines()
 	if err != nil {
 		return nil, Report{}, err
 	}
-	answers, err := paperAnswers(ctx, db, paperdb.QuerySmithXML, 3)
+	answers, err := paperAnswers(ctx, engine, paperdb.QuerySmithXML, 3)
 	if err != nil {
 		return nil, Report{}, err
 	}

@@ -46,22 +46,6 @@ type Index struct {
 	docCount int
 }
 
-// Build indexes every tuple of the database: all VARCHAR and TEXT attributes
-// that are not key or foreign-key columns (see relation.Schema.TextColumns)
-// are tokenized and added to the postings. Tables are indexed by one worker
-// per available CPU.
-func Build(db *relation.Database) *Index {
-	return BuildParallel(db, 0)
-}
-
-// BuildParallel is Build with an explicit worker count (0 or negative means
-// GOMAXPROCS, 1 is the fully sequential path). It derives the canonical
-// tuple-ID table itself; use BuildParallelWith to share one across
-// substrates.
-func BuildParallel(db *relation.Database, workers int) *Index {
-	return BuildParallelWith(db, symtab.ForDatabase(db), workers)
-}
-
 // partial is one table's worth of postings, accumulated by a build worker in
 // its own term/column ID spaces and remapped during the merge.
 type partial struct {
@@ -76,11 +60,15 @@ type partial struct {
 	docCount int
 }
 
-// BuildParallelWith builds the index over a pre-interned tuple table, which
-// must contain every tuple of db (symtab.ForDatabase order). Each table is
-// indexed by its own worker into a partial index and the partials are merged
-// afterwards; tuples are disjoint across tables, so the merged index is
-// identical to a sequential build regardless of the worker count.
+// BuildParallelWith indexes every tuple of the database over a pre-interned
+// tuple table, which must contain every tuple of db (symtab.ForDatabase
+// order): all VARCHAR and TEXT attributes that are not key or foreign-key
+// columns (see relation.Schema.TextColumns) are tokenized and added to the
+// postings. Each table is indexed by one of up to `workers` goroutines (0 or
+// negative means GOMAXPROCS, 1 is the fully sequential path) into a partial
+// index, and the partials are merged afterwards; tuples are disjoint across
+// tables, so the merged index is identical to a sequential build regardless
+// of the worker count.
 func BuildParallelWith(db *relation.Database, tuples *symtab.Tuples, workers int) *Index {
 	tables := db.Tables()
 	starts := make([]uint32, len(tables))

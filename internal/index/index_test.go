@@ -7,13 +7,21 @@ import (
 
 	"repro/internal/paperdb"
 	"repro/internal/relation"
+	"repro/internal/symtab"
 )
+
+// build is BuildParallelWith over the database's canonical tuple table.
+func build(db *relation.Database) *Index { return buildParallel(db, 0) }
+
+func buildParallel(db *relation.Database, workers int) *Index {
+	return BuildParallelWith(db, symtab.ForDatabase(db), workers)
+}
 
 func id(rel, key string) relation.TupleID { return relation.TupleID{Relation: rel, Key: key} }
 
 func paperIndex(t testing.TB) *Index {
 	t.Helper()
-	return Build(paperdb.MustLoad())
+	return build(paperdb.MustLoad())
 }
 
 func TestTokenize(t *testing.T) {

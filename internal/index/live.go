@@ -33,7 +33,7 @@ type docLenEdit struct {
 //
 // Maintenance is tombstone-free: a term whose last posting is removed leaves
 // the vocabulary entirely, and a removed tuple's document length drops to
-// zero, so the result is semantically identical to a fresh Build of db —
+// zero, so the result is semantically identical to a fresh build of db —
 // DocCount, TermCount, per-term document frequencies and TF-IDF scores all
 // match exactly. (Dense IDs may differ from a fresh build's canonical
 // assignment; only the string-space views are comparable across lineages.)

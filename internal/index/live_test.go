@@ -12,7 +12,7 @@ import (
 // fresh build of the same database, down to postings, frequencies and scores.
 func requireIndexEquivalent(t *testing.T, db *relation.Database, inc *Index) {
 	t.Helper()
-	fresh := Build(db)
+	fresh := build(db)
 	if inc.DocCount() != fresh.DocCount() {
 		t.Fatalf("DocCount = %d, fresh build has %d", inc.DocCount(), fresh.DocCount())
 	}
@@ -59,7 +59,7 @@ func mustInsert(t *testing.T, db *relation.Database, table string, row map[strin
 
 func TestIndexApplyInsertAndDelete(t *testing.T) {
 	db := paperdb.MustLoad()
-	idx := Build(db)
+	idx := build(db)
 	str, txt := relation.String, relation.Text
 
 	// Insert a department whose description introduces a brand-new term.
@@ -90,7 +90,7 @@ func TestIndexApplyInsertAndDelete(t *testing.T) {
 
 func TestIndexApplyUpdateSameID(t *testing.T) {
 	db := paperdb.MustLoad()
-	idx := Build(db)
+	idx := build(db)
 	str, txt := relation.String, relation.Text
 	old := mustDelete(t, db, "PROJECT", "p1")
 	neu := mustInsert(t, db, "PROJECT", map[string]relation.Value{
@@ -110,13 +110,13 @@ func TestIndexApplyUpdateSameID(t *testing.T) {
 
 func TestIndexApplyScoresMatchFreshBuild(t *testing.T) {
 	db := paperdb.MustLoad()
-	idx := Build(db)
+	idx := build(db)
 	str, txt := relation.String, relation.Text
 	d9 := mustInsert(t, db, "DEPARTMENT", map[string]relation.Value{
 		"ID": str("d9"), "D_NAME": str("lab"),
 		"D_DESCRIPTION": txt("XML XML XML and more databases")})
 	inc := idx.Apply(db, nil, []*relation.Tuple{d9})
-	fresh := Build(db)
+	fresh := build(db)
 	// IDF shifts with docCount and document frequency; scores must be
 	// bit-identical to a fresh build for every keyword and tuple.
 	for _, kw := range []string{"XML", "databases", "Smith", "information retrieval"} {

@@ -20,13 +20,13 @@ func TestBuildParallelDeterminism(t *testing.T) {
 	}{
 		{
 			name: "paper",
-			seq:  BuildParallel(paperdb.MustLoad(), 1),
-			pars: []*Index{BuildParallel(paperdb.MustLoad(), 4), Build(paperdb.MustLoad())},
+			seq:  buildParallel(paperdb.MustLoad(), 1),
+			pars: []*Index{buildParallel(paperdb.MustLoad(), 4), build(paperdb.MustLoad())},
 		},
 		{
 			name: "workload",
-			seq:  BuildParallel(workload.MustGenerate(workload.ScaledConfig(2, 42)), 1),
-			pars: []*Index{BuildParallel(workload.MustGenerate(workload.ScaledConfig(2, 42)), 8)},
+			seq:  buildParallel(workload.MustGenerate(workload.ScaledConfig(2, 42)), 1),
+			pars: []*Index{buildParallel(workload.MustGenerate(workload.ScaledConfig(2, 42)), 8)},
 		},
 	} {
 		vocab := tc.seq.Vocabulary()
@@ -57,7 +57,7 @@ func TestBuildParallelDeterminism(t *testing.T) {
 // so any punctuated term ("XML-based", "e-mail") silently reported 0 even
 // when its tokens were indexed.
 func TestDocFrequencyNormalizesLikeTheIndex(t *testing.T) {
-	idx := Build(paperdb.MustLoad())
+	idx := build(paperdb.MustLoad())
 	if df := idx.DocFrequency("XML"); df == 0 {
 		t.Fatal("sanity: XML should be indexed")
 	}
@@ -85,7 +85,7 @@ func TestDocFrequencyNormalizesLikeTheIndex(t *testing.T) {
 // which term seeds it, including when the first term is the most frequent.
 func TestMatchSeedsFromRarestTerm(t *testing.T) {
 	db := workload.MustGenerate(workload.ScaledConfig(2, 42))
-	idx := Build(db)
+	idx := build(db)
 	vocab := idx.Vocabulary()
 	if len(vocab) < 2 {
 		t.Skip("workload vocabulary too small")

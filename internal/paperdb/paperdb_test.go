@@ -58,7 +58,7 @@ func TestFigure2TupleContents(t *testing.T) {
 
 func TestERSchemaFigure1(t *testing.T) {
 	s := ERSchema()
-	if got := len(s.EntityNames()); got != 4 {
+	if got := len(s.Entities()); got != 4 {
 		t.Errorf("entities = %d", got)
 	}
 	if got := len(s.Relationships()); got != 4 {
@@ -107,8 +107,8 @@ func TestConceptualDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Conceptual: %v", err)
 	}
-	if got := len(schema.EntityNames()); got != 4 {
-		t.Errorf("conceptual entities = %v", schema.EntityNames())
+	if got := len(schema.Entities()); got != 4 {
+		t.Errorf("conceptual entities = %v", schema.Entities())
 	}
 	nm, ok := schema.Relationship("WORKS_ON")
 	if !ok || nm.Cardinality != er.ManyToMany {

@@ -14,11 +14,7 @@ import (
 func smithXMLItems(t testing.TB) ([]Item, map[string]string) {
 	t.Helper()
 	opts := paths.Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true}
-	engine, err := paths.New(paperdb.MustLoad(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers, err := engine.SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
+	answers, err := paperEngine(t).SearchContext(context.Background(), paperdb.QuerySmithXML, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

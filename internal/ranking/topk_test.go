@@ -11,23 +11,32 @@ import (
 	"repro/internal/index"
 	"repro/internal/paperdb"
 	"repro/internal/search/paths"
+	"repro/internal/symtab"
 )
 
-// paperItems builds a real item set from the paper's running example so the
-// heap selection is exercised on genuine analyses with tie-heavy scores.
-func paperItems(t *testing.T) []Item {
+// paperEngine builds the connection-enumeration engine over the paper's
+// running example.
+func paperEngine(t testing.TB) *paths.Engine {
 	t.Helper()
 	db := paperdb.MustLoad()
 	analyzer, err := core.Derive(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := paths.Options{MaxEdges: 4, RequireAllKeywords: true, InstanceCorroboration: true}
-	engine, err := paths.NewWithComponents(db, datagraph.Build(db), index.Build(db), analyzer, opts)
+	tuples := symtab.ForDatabase(db)
+	engine, err := paths.NewWithComponents(db, datagraph.BuildParallelWith(db, tuples, 0), index.BuildParallelWith(db, tuples, 0), analyzer, paths.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := engine.SearchContext(context.Background(), []string{"Smith", "XML"}, opts)
+	return engine
+}
+
+// paperItems builds a real item set from the paper's running example so the
+// heap selection is exercised on genuine analyses with tie-heavy scores.
+func paperItems(t *testing.T) []Item {
+	t.Helper()
+	opts := paths.Options{MaxEdges: 4, RequireAllKeywords: true, InstanceCorroboration: true}
+	answers, err := paperEngine(t).SearchContext(context.Background(), []string{"Smith", "XML"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,16 +209,6 @@ func (db *Database) ReferencedTuple(tup *Tuple, fk ForeignKey) (*Tuple, bool) {
 	return ref.ByPrimaryKey(EncodeKey(vals))
 }
 
-// ReferencingTuples returns the tuples of relation `from` whose foreign key
-// fk references the given tuple.
-func (db *Database) ReferencingTuples(from string, fk ForeignKey, target *Tuple) []*Tuple {
-	t, ok := db.tables[from]
-	if !ok {
-		return nil
-	}
-	return t.ReferencingTuples(fk, target.ID().Key)
-}
-
 // Stats summarises the database for reports.
 type Stats struct {
 	Relations    int

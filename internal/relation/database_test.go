@@ -160,7 +160,7 @@ func TestDatabaseReferenceNavigation(t *testing.T) {
 	if !ok || ref != d1 {
 		t.Error("ReferencedTuple failed to navigate works_for")
 	}
-	back := db.ReferencingTuples("EMPLOYEE", fk, d1)
+	back := emp.ReferencingTuples(fk, d1.ID().Key)
 	if len(back) != 1 || back[0] != e1 {
 		t.Error("ReferencingTuples failed to navigate works_for backwards")
 	}

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -209,23 +208,6 @@ func (s *Schema) IsPrimaryKeyColumn(name string) bool {
 		}
 	}
 	return false
-}
-
-// ForeignKeyColumns returns the set of columns that participate in any
-// foreign key, sorted by name.
-func (s *Schema) ForeignKeyColumns() []string {
-	set := make(map[string]bool)
-	for _, fk := range s.ForeignKeys {
-		for _, c := range fk.Columns {
-			set[c] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IsJunction reports whether the relation looks like a middle ("junction",

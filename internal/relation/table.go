@@ -200,16 +200,6 @@ func (t *Table) ReferencingTuples(fk ForeignKey, refKey string) []*Tuple {
 // must not be modified.
 func (t *Table) Tuples() []*Tuple { return t.tuples }
 
-// Scan calls fn for every tuple in insertion order, stopping early when fn
-// returns false.
-func (t *Table) Scan(fn func(*Tuple) bool) {
-	for _, tup := range t.tuples {
-		if !fn(tup) {
-			return
-		}
-	}
-}
-
 // SortedTuples returns the tuples ordered by primary key; used for
 // deterministic rendering of tables in reports.
 func (t *Table) SortedTuples() []*Tuple {

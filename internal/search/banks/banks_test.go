@@ -4,19 +4,29 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/datagraph"
+	"repro/internal/index"
 	"repro/internal/paperdb"
 	"repro/internal/relation"
+	"repro/internal/symtab"
 )
 
 func id(rel, key string) relation.TupleID { return relation.TupleID{Relation: rel, Key: key} }
 
-func newEngine(t testing.TB, opts Options) *Engine {
+// build constructs an engine over a freshly built graph and index of db.
+func build(t testing.TB, db *relation.Database, opts Options) *Engine {
 	t.Helper()
-	e, err := New(paperdb.MustLoad(), opts)
+	tuples := symtab.ForDatabase(db)
+	e, err := NewWithComponents(db, datagraph.BuildParallelWith(db, tuples, 0), index.BuildParallelWith(db, tuples, 0), opts)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewWithComponents: %v", err)
 	}
 	return e
+}
+
+func newEngine(t testing.TB, opts Options) *Engine {
+	t.Helper()
+	return build(t, paperdb.MustLoad(), opts)
 }
 
 func TestSearchSmithXMLTopTrees(t *testing.T) {
@@ -166,9 +176,6 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if _, err := e.SearchContext(context.Background(), []string{"Smith", "blockchain"}, Options{}); err == nil {
 		t.Error("unmatched keyword should fail")
-	}
-	if _, err := New(nil, Options{}); err == nil {
-		t.Error("New(nil) should fail")
 	}
 	if _, err := NewWithComponents(nil, nil, nil, Options{}); err == nil {
 		t.Error("NewWithComponents with nils should fail")

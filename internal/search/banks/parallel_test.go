@@ -13,10 +13,7 @@ import (
 // the sequential path, in the same order.
 func TestSearchContextParallelDeterminism(t *testing.T) {
 	db := workload.MustGenerate(workload.ScaledConfig(2, 42))
-	e, err := New(db, Options{MaxDepth: 3, MaxResults: 20})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	e := build(t, db, Options{MaxDepth: 3, MaxResults: 20})
 	ctx := context.Background()
 	for _, q := range workload.Queries(4, 42) {
 		seq, seqErr := e.SearchContext(ctx, q.Keywords, Options{MaxDepth: 3, MaxResults: 20, Parallelism: 1})
@@ -37,10 +34,7 @@ func TestSearchContextParallelDeterminism(t *testing.T) {
 // would keep, for several cut sizes.
 func TestEarlyStopMatchesExhaustiveSearch(t *testing.T) {
 	db := workload.MustGenerate(workload.ScaledConfig(2, 42))
-	e, err := New(db, Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	e := build(t, db, Options{})
 	ctx := context.Background()
 	for _, q := range workload.Queries(4, 42) {
 		exhaustive, err := e.SearchContext(ctx, q.Keywords, Options{MaxDepth: 3, MaxResults: 1 << 20})

@@ -30,8 +30,6 @@ type Options struct {
 	// MaxEdges is the maximum number of joins in a network (Tmax).
 	// The default is 5.
 	MaxEdges int
-	// MaxResults caps the number of answers (0 = unlimited).
-	MaxResults int
 }
 
 // DefaultOptions returns the options used when none are supplied.
@@ -67,17 +65,6 @@ type Engine struct {
 	opts  Options
 }
 
-// New builds an engine over the database.
-func New(db *relation.Database, opts Options) (*Engine, error) {
-	if db == nil {
-		return nil, fmt.Errorf("mtjnt: nil database")
-	}
-	if opts.MaxEdges <= 0 {
-		opts.MaxEdges = DefaultOptions().MaxEdges
-	}
-	return &Engine{db: db, graph: datagraph.Build(db), index: index.Build(db), opts: opts}, nil
-}
-
 // NewWithComponents builds an engine from pre-built components.
 func NewWithComponents(db *relation.Database, g *datagraph.Graph, idx *index.Index, opts Options) (*Engine, error) {
 	if db == nil || g == nil || idx == nil {
@@ -96,10 +83,6 @@ func NewWithComponents(db *relation.Database, g *datagraph.Graph, idx *index.Ind
 // SearchContext calls with different options are safe.
 func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Options) ([]Network, error) {
 	var out []Network
-	// The cap is applied after the deterministic sort, so the stream below
-	// must not cut the enumeration early.
-	maxResults := opts.MaxResults
-	opts.MaxResults = 0
 	if err := e.Stream(ctx, keywords, opts, func(n Network) bool {
 		out = append(out, n)
 		return true
@@ -112,9 +95,6 @@ func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Opti
 		}
 		return out[i].Connection.Key() < out[j].Connection.Key()
 	})
-	if maxResults > 0 && len(out) > maxResults {
-		out = out[:maxResults]
-	}
 	return out, nil
 }
 
@@ -123,9 +103,8 @@ var errStopStream = errors.New("mtjnt: stream stopped")
 
 // Stream enumerates the MTJNTs answering the query and hands each one to
 // yield as soon as it passes the minimal-total check, in discovery order (no
-// global sort). The stream stops when yield returns false, when MaxResults
-// networks have been delivered, or when the context is cancelled — in which
-// case ctx.Err() is returned.
+// global sort). The stream stops when yield returns false or when the
+// context is cancelled — in which case ctx.Err() is returned.
 func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yield func(Network) bool) error {
 	if len(keywords) == 0 {
 		return fmt.Errorf("mtjnt: empty keyword query")
@@ -141,7 +120,6 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 		return err
 	}
 
-	emitted := 0
 	seen := make(map[string]bool)
 	var keyBuf []byte
 	// Candidates arrive as dense paths; they are deduplicated and checked for
@@ -164,10 +142,6 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 			}
 		}
 		if !yield(Network{Connection: c, Matches: matches}) {
-			return errStopStream
-		}
-		emitted++
-		if opts.MaxResults > 0 && emitted >= opts.MaxResults {
 			return errStopStream
 		}
 		return nil

@@ -15,10 +15,7 @@ import (
 // the sequential walk, in the same order.
 func TestSearchContextParallelDeterminism(t *testing.T) {
 	db := workload.MustGenerate(workload.ScaledConfig(2, 42))
-	e, err := New(db, Options{MaxEdges: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	e := build(t, db, Options{MaxEdges: 3})
 	ctx := context.Background()
 	for _, q := range workload.Queries(4, 42) {
 		seq, seqErr := e.SearchContext(ctx, q.Keywords, Options{MaxEdges: 3, RequireAllKeywords: true, Parallelism: 1})

@@ -38,9 +38,6 @@ type Options struct {
 	// connection covering at least two distinct keywords (or one, for
 	// single-keyword queries) is returned (OR semantics).
 	RequireAllKeywords bool
-	// MaxResults caps the number of answers (0 = unlimited). Answers are
-	// cut after deterministic ordering by ascending RDB length.
-	MaxResults int
 	// InstanceCorroboration enables the instance-level corroboration
 	// analysis of every answer (slightly more expensive).
 	InstanceCorroboration bool
@@ -80,30 +77,6 @@ type Engine struct {
 	opts     Options
 }
 
-// New builds an engine over the database, constructing the data graph, the
-// keyword index and the association analyzer.
-func New(db *relation.Database, opts Options) (*Engine, error) {
-	if db == nil {
-		return nil, fmt.Errorf("paths: nil database")
-	}
-	if opts.MaxEdges <= 0 {
-		opts.MaxEdges = DefaultOptions().MaxEdges
-	}
-	analyzer, err := core.Derive(db)
-	if err != nil {
-		return nil, err
-	}
-	tuples := symtab.ForDatabase(db)
-	idx := index.BuildParallelWith(db, tuples, 0)
-	return &Engine{
-		db:       db,
-		graph:    datagraph.BuildParallelWith(db, tuples, 0),
-		index:    idx,
-		analyzer: analyzer,
-		opts:     opts,
-	}, nil
-}
-
 // NewWithComponents builds an engine from pre-built components, so that the
 // graph, index and analyzer can be shared with other engines. The graph and
 // index must be of the same generation (built or maintained from the same
@@ -128,18 +101,19 @@ func NewWithComponents(db *relation.Database, g *datagraph.Graph, idx *index.Ind
 // safe.
 func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Options) ([]Answer, error) {
 	var answers []Answer
-	// The cap is applied after the deterministic sort, so the stream below
-	// must not cut the enumeration early.
-	maxResults := opts.MaxResults
-	opts.MaxResults = 0
 	if err := e.Stream(ctx, keywords, opts, func(a Answer) bool {
 		answers = append(answers, a)
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	opts.MaxResults = maxResults
-	return finish(answers, opts), nil
+	sort.Slice(answers, func(i, j int) bool {
+		if answers[i].Connection.RDBLength() != answers[j].Connection.RDBLength() {
+			return answers[i].Connection.RDBLength() < answers[j].Connection.RDBLength()
+		}
+		return answers[i].Connection.Key() < answers[j].Connection.Key()
+	})
+	return answers, nil
 }
 
 // errStopStream unwinds an enumeration stopped by a yield returning false.
@@ -198,9 +172,9 @@ func (e *Engine) resolve(keywords []string) *query {
 // Stream enumerates the answers of the keyword query and hands each one to
 // yield as soon as it is built, in discovery order (no global sort): the
 // first answers arrive while the enumeration is still running. The stream
-// stops when yield returns false, when MaxResults answers have been
-// delivered, or when the context is cancelled — in which case ctx.Err() is
-// returned. Answers are deduplicated exactly as in SearchContext.
+// stops when yield returns false or when the context is cancelled — in
+// which case ctx.Err() is returned. Answers are deduplicated exactly as in
+// SearchContext.
 //
 // With Parallelism other than 1, answer annotation — the association
 // analysis, the instance-level corroboration and the content score — runs on
@@ -230,7 +204,6 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 		return e.streamPipelined(ctx, q, opts, workers, yield)
 	}
 
-	emitted := 0
 	// emit builds the answer for a deduplicated, covering connection and
 	// yields it; a non-nil return aborts the whole enumeration.
 	emit := func(c core.Connection) error {
@@ -239,10 +212,6 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 			return err
 		}
 		if !yield(ans) {
-			return errStopStream
-		}
-		emitted++
-		if opts.MaxResults > 0 && emitted >= opts.MaxResults {
 			return errStopStream
 		}
 		return nil
@@ -298,10 +267,6 @@ func (e *Engine) streamPipelined(ctx context.Context, q *query, opts Options, wo
 			return errStopStream
 		}
 		emitted++
-		if opts.MaxResults > 0 && emitted >= opts.MaxResults {
-			stopped = true
-			return errStopStream
-		}
 		return nil
 	})
 	cancel() // unblocks a still-running walk; idempotent otherwise
@@ -576,19 +541,6 @@ func (e *Engine) buildAnswer(ctx context.Context, c core.Connection, q *query, o
 		content += scorer.ScoreID(dense)
 	}
 	return Answer{Connection: c, Analysis: an, Matches: matched, ContentScore: content}, nil
-}
-
-func finish(answers []Answer, opts Options) []Answer {
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Connection.RDBLength() != answers[j].Connection.RDBLength() {
-			return answers[i].Connection.RDBLength() < answers[j].Connection.RDBLength()
-		}
-		return answers[i].Connection.Key() < answers[j].Connection.Key()
-	})
-	if opts.MaxResults > 0 && len(answers) > opts.MaxResults {
-		answers = answers[:opts.MaxResults]
-	}
-	return answers
 }
 
 func appendUnique(ss []string, s string) []string {

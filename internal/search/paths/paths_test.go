@@ -16,13 +16,25 @@ import (
 
 func id(rel, key string) relation.TupleID { return relation.TupleID{Relation: rel, Key: key} }
 
-func newEngine(t testing.TB, opts Options) *Engine {
+// build constructs an engine over a freshly built graph, index and analyzer
+// of db.
+func build(t testing.TB, db *relation.Database, opts Options) *Engine {
 	t.Helper()
-	e, err := New(paperdb.MustLoad(), opts)
+	analyzer, err := core.Derive(db)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("Derive: %v", err)
+	}
+	tuples := symtab.ForDatabase(db)
+	e, err := NewWithComponents(db, datagraph.BuildParallelWith(db, tuples, 0), index.BuildParallelWith(db, tuples, 0), analyzer, opts)
+	if err != nil {
+		t.Fatalf("NewWithComponents: %v", err)
 	}
 	return e
+}
+
+func newEngine(t testing.TB, opts Options) *Engine {
+	t.Helper()
+	return build(t, paperdb.MustLoad(), opts)
 }
 
 // coveredKeywords returns the distinct query keywords the answer covers,
@@ -221,17 +233,9 @@ func TestSearchRequireAllKeywordsSemantics(t *testing.T) {
 }
 
 func TestSearchMaxResultsAndBudget(t *testing.T) {
-	e := newEngine(t, Options{MaxEdges: 5, MaxResults: 3})
-	answers, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 5, MaxResults: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != 3 {
-		t.Errorf("MaxResults not applied: %d answers", len(answers))
-	}
 	// A budget of 1 join only finds the immediate connections 1 and 5.
-	e = newEngine(t, Options{MaxEdges: 1})
-	answers, err = e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 1})
+	e := newEngine(t, Options{MaxEdges: 1})
+	answers, err := e.SearchContext(context.Background(), paperdb.QuerySmithXML, Options{MaxEdges: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +248,6 @@ func TestSearchErrors(t *testing.T) {
 	e := newEngine(t, Options{})
 	if _, err := e.SearchContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("empty query should fail")
-	}
-	if _, err := New(nil, Options{}); err == nil {
-		t.Error("New(nil) should fail")
 	}
 	if _, err := NewWithComponents(nil, nil, nil, nil, Options{}); err == nil {
 		t.Error("NewWithComponents with nil components should fail")

@@ -65,10 +65,7 @@ func TestAnnotationPipelineDeterminism(t *testing.T) {
 	})
 	t.Run("workload", func(t *testing.T) {
 		db := workload.MustGenerate(workload.ScaledConfig(2, 42))
-		e, err := New(db, Options{MaxEdges: 3})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
+		e := build(t, db, Options{MaxEdges: 3})
 		ran := 0
 		for _, q := range workload.Queries(4, 42) {
 			probe, err := e.SearchContext(context.Background(), q.Keywords, Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true, Parallelism: 1})
@@ -113,8 +110,9 @@ func TestStreamPipelinedDiscoveryOrder(t *testing.T) {
 	}
 }
 
-// TestStreamPipelinedStopsAndMaxResults checks that yield returning false and
-// the MaxResults cap both tear the annotation pipeline down cleanly.
+// TestStreamPipelinedStopsAndMaxResults checks that yield returning false —
+// on the first answer, or on a later one as kws's TopK cap does — tears the
+// annotation pipeline down cleanly.
 func TestStreamPipelinedStopsAndMaxResults(t *testing.T) {
 	e := newEngine(t, Options{})
 	opts := Options{MaxEdges: 3, RequireAllKeywords: true, InstanceCorroboration: true, Parallelism: 4}
@@ -126,14 +124,13 @@ func TestStreamPipelinedStopsAndMaxResults(t *testing.T) {
 	if err != nil || got != 1 {
 		t.Fatalf("stop-early stream: yields=%d err=%v", got, err)
 	}
-	opts.MaxResults = 2
 	got = 0
 	err = e.Stream(context.Background(), paperdb.QuerySmithXML, opts, func(Answer) bool {
 		got++
-		return true
+		return got < 2
 	})
 	if err != nil || got != 2 {
-		t.Fatalf("MaxResults stream: yields=%d err=%v", got, err)
+		t.Fatalf("stop-after-two stream: yields=%d err=%v", got, err)
 	}
 }
 
@@ -209,10 +206,7 @@ func pairDB(t testing.TB) *relation.Database {
 // the sequential path.
 func TestWalkConnectionsCompleteSetLateCancel(t *testing.T) {
 	db := pairDB(t)
-	e, err := New(db, Options{MaxEdges: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	e := build(t, db, Options{MaxEdges: 3})
 	keywords := []string{"alpha", "beta"}
 	q := e.resolve(keywords)
 	if len(q.matchLess["alpha"]) != 2 || len(q.matchLess["beta"]) != 2 {
@@ -236,7 +230,7 @@ func TestWalkConnectionsCompleteSetLateCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	count := 0
-	err = e.walkConnections(ctx, q, opts, func(core.Connection) error {
+	err := e.walkConnections(ctx, q, opts, func(core.Connection) error {
 		count++
 		if count == want {
 			cancel() // the complete set is delivered; cancellation arrives "late"
@@ -256,10 +250,7 @@ func TestWalkConnectionsCompleteSetLateCancel(t *testing.T) {
 // must not turn a completely delivered stream into a cancellation error.
 func TestStreamPipelinedCompleteSetLateCancel(t *testing.T) {
 	db := pairDB(t)
-	e, err := New(db, Options{MaxEdges: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	e := build(t, db, Options{MaxEdges: 3})
 	keywords := []string{"alpha", "beta"}
 	seq, err := e.SearchContext(context.Background(), keywords, Options{MaxEdges: 3, RequireAllKeywords: true, Parallelism: 1})
 	if err != nil {

@@ -54,8 +54,8 @@ type FaultStore struct {
 	// beyond the frame length write the whole frame (the crash then tore
 	// nothing, only the acknowledgment).
 	TornBytes int
-	// Sticky makes the first fired crash point fatal: all later Append,
-	// Snapshot and TruncateAfter calls fail with ErrInjected.
+	// Sticky makes the first fired crash point fatal: all later Append and
+	// Snapshot calls fail with ErrInjected.
 	Sticky bool
 
 	dead bool
@@ -65,9 +65,6 @@ type FaultStore struct {
 func NewFaultStore(fs *FileStore) *FaultStore {
 	return &FaultStore{FileStore: fs}
 }
-
-// Dead reports whether a sticky crash point has fired.
-func (f *FaultStore) Dead() bool { return f.dead }
 
 // kill records a fired sticky crash point.
 func (f *FaultStore) kill() error {
@@ -123,13 +120,4 @@ func (f *FaultStore) Snapshot(gen uint64, db *relation.Database) error {
 		return f.kill()
 	}
 	return f.FileStore.Snapshot(gen, db)
-}
-
-// TruncateAfter fails on a dead store — the crash already happened, so the
-// rollback a live process would perform must not reach the directory.
-func (f *FaultStore) TruncateAfter(gen uint64) error {
-	if f.dead {
-		return ErrInjected
-	}
-	return f.FileStore.TruncateAfter(gen)
 }

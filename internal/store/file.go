@@ -200,43 +200,6 @@ func (s *FileStore) truncateWAL(upTo uint64) error {
 	return s.log.rewrite(data[from:], kept)
 }
 
-// TruncateAfter durably drops the WAL records with generation greater than
-// gen, leaving the log ending at gen (or empty, when nothing at or below gen
-// is logged). The dropped records must never have been acknowledged.
-// Truncating below the snapshot generation is refused: the snapshot already
-// covers those generations, so the request can only be a protocol bug.
-func (s *FileStore) TruncateAfter(gen uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.lastGen <= gen {
-		return nil
-	}
-	if s.snapGen > gen {
-		return fmt.Errorf("store: truncate after generation %d below snapshot %d", gen, s.snapGen)
-	}
-	// Generations only increase, so the kept records are a byte prefix.
-	cut, kept, lastKept := s.log.size, int64(0), uint64(0)
-	if _, err := s.scan(func(off int64, g uint64, _ Mutation) error {
-		if g <= gen {
-			kept++
-			lastKept = g
-		} else if off < cut {
-			cut = off
-		}
-		return nil
-	}); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	if err := s.log.truncateTo(cut, kept); err != nil {
-		return fmt.Errorf("store: truncate after: %w", err)
-	}
-	s.lastGen = max(s.snapGen, lastKept)
-	return nil
-}
-
 // Load decodes the latest durable snapshot, or returns (nil, 0, nil) when
 // none has been written yet.
 func (s *FileStore) Load() (*relation.Database, uint64, error) {

@@ -80,9 +80,6 @@ type Store interface {
 	// Snapshot durably serializes the relational state of generation gen
 	// and truncates the WAL records it makes redundant (gen and below).
 	Snapshot(gen uint64, db *relation.Database) error
-	// TruncateAfter durably drops logged records with generation greater
-	// than gen. The dropped records must never have been acknowledged.
-	TruncateAfter(gen uint64) error
 	// Load returns the latest durable snapshot and its generation, or
 	// (nil, 0, nil) when no snapshot exists.
 	Load() (*relation.Database, uint64, error)

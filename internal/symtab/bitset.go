@@ -19,11 +19,6 @@ func (b *Bitset) Grow(n int) {
 	}
 }
 
-// Reset clears every member, keeping the capacity.
-func (b *Bitset) Reset() {
-	clear(b.words)
-}
-
 // Add inserts the ID and reports whether it was absent. The ID must be below
 // the capacity established by Grow.
 func (b *Bitset) Add(id uint32) bool {

@@ -128,11 +128,6 @@ type Tuples struct {
 	frozen bool
 }
 
-// NewTuples returns an empty, mutable tuple table.
-func NewTuples() *Tuples {
-	return &Tuples{lookup: make(map[relation.TupleID]uint32)}
-}
-
 // ForDatabase interns every tuple of the database in canonical order: tables
 // in creation order, tuples in insertion order. Substrates built separately
 // over the same database therefore assign identical IDs, and substrates

@@ -30,11 +30,6 @@ type DocsConfig struct {
 	Seed int64
 }
 
-// DefaultDocsConfig returns a small but non-trivial configuration.
-func DefaultDocsConfig() DocsConfig {
-	return DocsConfig{Collections: 3, DocumentsPerCollection: 8, FieldsPerDocument: 5, Tags: 6, Seed: 1}
-}
-
 // ScaledDocsConfig returns a configuration whose total tuple count grows
 // roughly linearly with the scale factor (scale 1 is about 150 tuples).
 func ScaledDocsConfig(scale int, seed int64) DocsConfig {

@@ -9,6 +9,11 @@ import (
 	"repro/internal/relation"
 )
 
+// defaultDocsConfig returns a small but non-trivial configuration.
+func defaultDocsConfig() DocsConfig {
+	return DocsConfig{Collections: 3, DocumentsPerCollection: 8, FieldsPerDocument: 5, Tags: 6, Seed: 1}
+}
+
 func TestGenerateDocsDeterministic(t *testing.T) {
 	cfg := ScaledDocsConfig(2, 42)
 	a, err := GenerateDocs(cfg)
@@ -32,7 +37,7 @@ func TestGenerateDocsDeterministic(t *testing.T) {
 }
 
 func TestGenerateDocsShape(t *testing.T) {
-	cfg := DefaultDocsConfig()
+	cfg := defaultDocsConfig()
 	db, err := GenerateDocs(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +90,7 @@ func TestDocQueriesDeterministic(t *testing.T) {
 // TestGenerateDocsConcurrent pins that concurrent generator calls are
 // independent: no shared mutable state, race-clean under -race -cpu=1,4.
 func TestGenerateDocsConcurrent(t *testing.T) {
-	cfg := DefaultDocsConfig()
+	cfg := defaultDocsConfig()
 	want, err := GenerateDocs(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -29,11 +29,6 @@ type LogsConfig struct {
 	Seed int64
 }
 
-// DefaultLogsConfig returns a small but non-trivial configuration.
-func DefaultLogsConfig() LogsConfig {
-	return LogsConfig{Services: 4, Hosts: 6, EventsPerService: 12, Incidents: 3, Seed: 1}
-}
-
 // ScaledLogsConfig returns a configuration whose total tuple count grows
 // roughly linearly with the scale factor (scale 1 is about 120 tuples).
 func ScaledLogsConfig(scale int, seed int64) LogsConfig {

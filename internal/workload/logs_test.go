@@ -8,6 +8,11 @@ import (
 	"repro/internal/relation"
 )
 
+// defaultLogsConfig returns a small but non-trivial configuration.
+func defaultLogsConfig() LogsConfig {
+	return LogsConfig{Services: 4, Hosts: 6, EventsPerService: 12, Incidents: 3, Seed: 1}
+}
+
 // dump renders a database deterministically for byte comparison.
 func dump(t *testing.T, db *relation.Database) string {
 	t.Helper()
@@ -41,7 +46,7 @@ func TestGenerateLogsDeterministic(t *testing.T) {
 }
 
 func TestGenerateLogsShape(t *testing.T) {
-	cfg := DefaultLogsConfig()
+	cfg := defaultLogsConfig()
 	db, err := GenerateLogs(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +75,7 @@ func TestGenerateLogsShape(t *testing.T) {
 // TestGenerateLogsConcurrent pins that concurrent generator calls are
 // independent: no shared mutable state, race-clean under -race -cpu=1,4.
 func TestGenerateLogsConcurrent(t *testing.T) {
-	cfg := DefaultLogsConfig()
+	cfg := defaultLogsConfig()
 	want, err := GenerateLogs(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -32,18 +32,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a small but non-trivial configuration.
-func DefaultConfig() Config {
-	return Config{
-		Departments:            5,
-		ProjectsPerDepartment:  3,
-		EmployeesPerDepartment: 8,
-		AssignmentsPerEmployee: 2,
-		DependentsPerEmployee:  1,
-		Seed:                   1,
-	}
-}
-
 // ScaledConfig returns a configuration whose total tuple count grows roughly
 // linearly with the scale factor (scale 1 is about 60 tuples).
 func ScaledConfig(scale int, seed int64) Config {

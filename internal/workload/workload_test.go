@@ -6,10 +6,23 @@ import (
 
 	"repro/internal/datagraph"
 	"repro/internal/index"
+	"repro/internal/symtab"
 )
 
+// defaultConfig returns a small but non-trivial configuration.
+func defaultConfig() Config {
+	return Config{
+		Departments:            5,
+		ProjectsPerDepartment:  3,
+		EmployeesPerDepartment: 8,
+		AssignmentsPerEmployee: 2,
+		DependentsPerEmployee:  1,
+		Seed:                   1,
+	}
+}
+
 func TestGenerateDefaultConfig(t *testing.T) {
-	db, err := Generate(DefaultConfig())
+	db, err := Generate(defaultConfig())
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -34,7 +47,7 @@ func TestGenerateDefaultConfig(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	a := MustGenerate(cfg)
 	b := MustGenerate(cfg)
 	sa, sb := a.Stats(), b.Stats()
@@ -86,8 +99,9 @@ func TestGenerateRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestGeneratedDatabaseIsSearchable(t *testing.T) {
-	db := MustGenerate(DefaultConfig())
-	idx := index.Build(db)
+	db := MustGenerate(defaultConfig())
+	tuples := symtab.ForDatabase(db)
+	idx := index.BuildParallelWith(db, tuples, 0)
 	// Every topic and surname vocabulary entry used in descriptions is
 	// findable; at least one topic must match something.
 	matched := 0
@@ -109,7 +123,7 @@ func TestGeneratedDatabaseIsSearchable(t *testing.T) {
 		t.Error("no surname keyword matches the generated database")
 	}
 	// The data graph is non-trivial and mostly connected.
-	g := datagraph.Build(db)
+	g := datagraph.BuildParallelWith(db, tuples, 0)
 	if g.EdgeCount() == 0 {
 		t.Error("generated graph has no edges")
 	}

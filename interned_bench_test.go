@@ -9,7 +9,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/index"
 	"repro/internal/workload"
 	"repro/kws"
 )
@@ -38,7 +37,7 @@ func BenchmarkInternedSearch(b *testing.B) {
 // search — on the scale-4 workload.
 func BenchmarkPostingIteration(b *testing.B) {
 	db := workload.MustGenerate(workload.ScaledConfig(4, 42))
-	idx := index.Build(db)
+	idx := buildIndex(db, 0)
 	keywords := []string{"Smith", "XML", "Johnson", "database"}
 	b.ReportAllocs()
 	b.ResetTimer()

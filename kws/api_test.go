@@ -193,40 +193,6 @@ func TestStreamIsUnrankedAndCapped(t *testing.T) {
 	}
 }
 
-// TestResultsIterator checks the iter.Seq2 variant, including early break.
-func TestResultsIterator(t *testing.T) {
-	engine, err := New(PaperExample())
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for r, err := range engine.Results(context.Background(), Query{Keywords: []string{"Smith", "XML"}, MaxJoins: 3}) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Connection == "" {
-			t.Error("empty streamed result")
-		}
-		count++
-		if count == 2 {
-			break
-		}
-	}
-	if count != 2 {
-		t.Errorf("iterated %d results before break, want 2", count)
-	}
-	// A cancelled context surfaces as the final iterator element.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var last error
-	for _, err := range engine.Results(ctx, Query{Keywords: []string{"Smith", "XML"}}) {
-		last = err
-	}
-	if !errors.Is(last, context.Canceled) {
-		t.Errorf("iterator on cancelled context ended with %v, want context.Canceled", last)
-	}
-}
-
 // closeOnly is a custom searcher for the registry test: it delegates to the
 // built-in paths engine and keeps only guaranteed-close answers.
 type closeOnly struct{ inner Searcher }

@@ -24,12 +24,11 @@
 //	}
 //
 // Results can also be consumed incrementally, before the enumeration
-// finishes, with Engine.Stream (callback) or Engine.Results (iterator);
-// streamed results arrive unranked, in discovery order. Additional search
-// engines and ranking strategies plug in through RegisterEngine and
-// RegisterRanker.
+// finishes, with Engine.Stream; streamed results arrive unranked, in
+// discovery order. Additional search engines and ranking strategies plug in
+// through RegisterEngine and RegisterRanker.
 //
-// # Concurrency and batching
+// # Per-query parallelism
 //
 // The whole stack is parallel by default and deterministic at every setting:
 // kws.New builds the tuple graph and the inverted index concurrently (each
@@ -40,25 +39,11 @@
 // answer annotation: the single-goroutine dedup stage feeds a bounded pool
 // that runs the association analysis, the instance-level corroboration and
 // the content scoring of many answers concurrently, and an order-preserving
-// emitter delivers them in exactly the sequential order — so Search, Stream
-// and SearchBatch all overlap the dominant per-answer cost without changing
-// a byte of output. WithParallelism bounds all of it at the engine level and
+// emitter delivers them in exactly the sequential order — so Search and
+// Stream both overlap the dominant per-answer cost without changing a byte
+// of output. WithParallelism bounds all of it at the engine level and
 // Query.Parallelism per call; 1 forces the fully sequential paths, which
 // produce byte-identical results.
-//
-// Many queries are served in one call with Engine.SearchBatch, which runs up
-// to the configured parallelism of them at once over the shared substrates
-// and returns one BatchResult per query, in query order, with per-query
-// errors:
-//
-//	engine, _ := kws.New(db, kws.WithParallelism(8))
-//	for i, br := range engine.SearchBatch(ctx, queries) {
-//		if br.Err != nil {
-//			log.Printf("query %d: %v", i, br.Err)
-//			continue
-//		}
-//		consume(br.Results)
-//	}
 //
 // # Live updates and snapshots
 //
@@ -74,10 +59,9 @@
 //	}})
 //
 // Generations are immutable and published atomically. Apply guarantees to
-// concurrent readers: (1) no blocking — Search, Stream and SearchBatch never
-// wait for a writer; (2) no torn reads — a call uses the generation current
-// at its start for its whole duration, a SearchBatch answers every query of
-// the batch from one generation, and a Stream keeps yielding its generation
+// concurrent readers: (1) no blocking — Search and Stream never wait for a
+// writer; (2) no torn reads — a call uses the generation current at its
+// start for its whole duration, and a Stream keeps yielding its generation
 // even when mutations land mid-stream; (3) atomicity — a batch either
 // publishes completely or, on any error (including context cancellation),
 // not at all, leaving the engine on its previous generation; and (4)

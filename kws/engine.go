@@ -3,7 +3,6 @@ package kws
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagraph"
 	"repro/internal/index"
-	"repro/internal/parallel"
 	"repro/internal/ranking"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -41,8 +39,8 @@ type Config struct {
 	// TupleID.String. Use PaperLabeler for the paper's running example.
 	Labeler Labeler
 	// Parallelism bounds the worker goroutines used per query by the search
-	// engines and per batch by SearchBatch (0 or negative means GOMAXPROCS,
-	// 1 is fully sequential). Results are deterministic for any value.
+	// engines (0 or negative means GOMAXPROCS, 1 is fully sequential).
+	// Results are deterministic for any value.
 	Parallelism int
 
 	// Engine-level durability wiring, set through WithStore and
@@ -95,8 +93,8 @@ type Result struct {
 // lazily by the registered factories and cached per generation.
 //
 // An Engine is live: Apply mutates the underlying data and publishes a new
-// immutable generation atomically, while in-flight Search, Stream and
-// SearchBatch calls keep reading the generation they started on. See
+// immutable generation atomically, while in-flight Search and Stream calls
+// keep reading the generation they started on. See
 // "Live updates and snapshots" in the package documentation.
 type Engine struct {
 	defaults Config
@@ -173,12 +171,12 @@ func WithLabeler(l Labeler) Option {
 	return func(c *Config) { c.Labeler = l }
 }
 
-// WithParallelism bounds the concurrency of the engine: the number of
-// queries SearchBatch runs at once and the default worker count of each
-// query's internal fan-out (keyword expansions, per-source enumerations,
-// the paths annotation pipeline). Zero or negative means GOMAXPROCS; 1
-// makes every path fully sequential. Individual queries can still override
-// it through Query.Parallelism.
+// WithParallelism bounds the concurrency of the engine: the worker count of
+// the substrate builds and the default worker count of each query's
+// internal fan-out (keyword expansions, per-source enumerations, the paths
+// annotation pipeline). Zero or negative means GOMAXPROCS; 1 makes every
+// path fully sequential. Individual queries can still override it through
+// Query.Parallelism.
 func WithParallelism(n int) Option {
 	return func(c *Config) { c.Parallelism = n }
 }
@@ -398,8 +396,8 @@ func (e *Engine) Search(ctx context.Context, q Query) ([]Result, error) {
 	return e.searchOn(ctx, e.current(), q)
 }
 
-// searchOn is Search pinned to one generation; SearchBatch shares it so that
-// every query of a batch reads the same snapshot.
+// searchOn is Search pinned to one generation; the Cache shares it so that
+// a cached entry and its generation stamp come from the same snapshot.
 func (e *Engine) searchOn(ctx context.Context, snap *snapshot, q Query) ([]Result, error) {
 	rq, err := e.resolve(q)
 	if err != nil {
@@ -441,61 +439,6 @@ func (e *Engine) searchOn(ctx context.Context, snap *snapshot, q Query) ([]Resul
 	return results, nil
 }
 
-// BatchResult is the outcome of one query of a SearchBatch call: either its
-// ranked results or the error that failed it.
-type BatchResult struct {
-	// Results are the ranked results of the query, as Search would return
-	// them; nil when Err is set.
-	Results []Result
-	// Err is the query's failure, if any. A batch cancelled mid-flight
-	// reports ctx.Err() on the queries that did not complete.
-	Err error
-}
-
-// SearchBatch answers many queries over the engine's shared substrates,
-// running up to the configured parallelism of them at once (WithParallelism;
-// 0 means GOMAXPROCS). It returns one BatchResult per query, in query order:
-// failures are reported per query, never collapsed, so a batch mixing valid
-// and invalid queries still answers every valid one. When the context is
-// cancelled the in-flight queries abort and the unfinished entries carry
-// ctx.Err().
-//
-// Inside a batch the concurrency budget is spent across queries, not within
-// them: a query whose Parallelism is 0 runs its internal fan-out
-// sequentially (unlike a direct Search call, where 0 inherits the engine
-// default). Set Query.Parallelism explicitly to give individual queries
-// their own worker pools on top of the batch's.
-//
-// A batch pins the generation current at entry: every query of the batch
-// reads the same snapshot, even when Apply publishes newer generations while
-// the batch runs.
-func (e *Engine) SearchBatch(ctx context.Context, queries []Query) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	snap := e.current()
-	// A query's own fan-out shares the batch budget poorly if both default
-	// to GOMAXPROCS; batched queries therefore run their internals
-	// sequentially unless the query overrides Parallelism itself.
-	_ = parallel.ForEach(ctx, e.defaults.Parallelism, len(queries), func(ctx context.Context, i int) error {
-		q := queries[i]
-		if q.Parallelism == 0 {
-			q.Parallelism = 1
-		}
-		results, err := e.searchOn(ctx, snap, q)
-		out[i] = BatchResult{Results: results, Err: err}
-		return nil // per-query errors never abort the batch
-	})
-	// Queries never started before a cancellation keep their zero value;
-	// stamp them with the context error so callers can tell them apart.
-	if err := ctx.Err(); err != nil {
-		for i := range out {
-			if out[i].Results == nil && out[i].Err == nil {
-				out[i].Err = err
-			}
-		}
-	}
-	return out
-}
-
 // Stream answers the query incrementally: each result is handed to yield as
 // soon as the search engine produces it, in discovery order and without
 // ranking (Rank and Score are unset, and Query.Ranking is not consulted —
@@ -520,31 +463,6 @@ func (e *Engine) Stream(ctx context.Context, q Query, yield func(Result) bool) e
 		delivered++
 		return rq.TopK <= 0 || delivered < rq.TopK
 	})
-}
-
-// Results returns the query's streamed results as an iterator:
-//
-//	for r, err := range engine.Results(ctx, q) {
-//		if err != nil { ... }
-//		fmt.Println(r.Connection)
-//	}
-//
-// Like Stream, results arrive unranked in discovery order; a non-nil error
-// (including ctx.Err() on cancellation) is yielded as the final element.
-func (e *Engine) Results(ctx context.Context, q Query) iter.Seq2[Result, error] {
-	return func(yield func(Result, error) bool) {
-		stopped := false
-		err := e.Stream(ctx, q, func(r Result) bool {
-			if !yield(r, nil) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !stopped {
-			yield(Result{}, err)
-		}
-	}
 }
 
 func toResult(a Answer, rank int, score float64, label Labeler) Result {

@@ -86,8 +86,8 @@ type Mutation struct {
 // maintaining the tuple graph and the keyword index instead of rebuilding
 // them. It returns the new generation number.
 //
-// Readers never block: Search, Stream and SearchBatch calls in flight keep
-// the snapshot they started on, and calls starting after Apply returns see
+// Readers never block: Search and Stream calls in flight keep the snapshot
+// they started on, and calls starting after Apply returns see
 // the new generation. Writers are serialized; concurrent Apply calls queue.
 //
 // On any failure — unknown table or column, type mismatch, duplicate or

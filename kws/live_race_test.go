@@ -43,8 +43,8 @@ func raceBatches() []Mutation {
 	}
 }
 
-// TestReadersNeverObserveTornSnapshot races concurrent Search, Stream and
-// SearchBatch readers against a writer publishing generations with Apply.
+// TestReadersNeverObserveTornSnapshot races concurrent Search and Stream
+// readers against a writer publishing generations with Apply.
 // Every observed result set must be exactly the output of SOME generation —
 // never a mix of two — and the generation number must be monotone per
 // reader. Run with -race -cpu=1,4 in CI.
@@ -181,29 +181,6 @@ func TestReadersNeverObserveTornSnapshot(t *testing.T) {
 			}
 		}()
 	}
-	// SearchBatch readers: a batch pins one snapshot, so two identical
-	// queries inside one batch must return identical results.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !done.Load() {
-			out := live.SearchBatch(ctx, []Query{query, query})
-			if out[0].Err != nil || out[1].Err != nil {
-				report(errFmt("batch errors: %v / %v", out[0].Err, out[1].Err))
-				return
-			}
-			a, b := renders(out[0].Results), renders(out[1].Results)
-			if !reflect.DeepEqual(a, b) {
-				report(errFmt("batch mixed generations: %v vs %v", a, b))
-				return
-			}
-			if !matchesSomeGeneration(a) {
-				report(errFmt("torn batch result: %v", a))
-				return
-			}
-		}
-	}()
-
 	// The writer publishes the script with small pauses so readers land on
 	// every generation.
 	for _, m := range batches {

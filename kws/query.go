@@ -108,9 +108,7 @@ type Query struct {
 	// Parallelism bounds the worker goroutines of this query's internal
 	// fan-out — keyword expansions in BANKS, per-source enumerations and
 	// the ordered annotation pipeline in paths (0 = the engine default,
-	// which itself defaults to GOMAXPROCS; 1 = fully sequential). Inside
-	// SearchBatch the concurrency budget is spent across queries instead,
-	// so 0 means sequential internals there (see Engine.SearchBatch).
-	// Results are deterministic for any value.
+	// which itself defaults to GOMAXPROCS; 1 = fully sequential). Results
+	// are deterministic for any value.
 	Parallelism int
 }
