@@ -8,15 +8,20 @@
 //
 // Expansions run in the interned space: distances and back pointers are
 // dense arrays indexed by uint32 tuple ID, recycled across queries via
-// sync.Pool, and only the trees that survive root selection are rendered to
-// the string space. Expansion seeds and neighbor iteration follow the
-// string-space orders, so answers are identical to the pre-interning
-// implementation.
+// sync.Pool. Root selection stays dense as well: every candidate root's tree
+// is deduplicated on its sorted dense node set and weighed by counting its
+// distinct dense tuple pairs. Only then is anything rendered: the signature
+// of each distinct tree that can still make the cut, once, for the final
+// ordering, and the string-space Tree of each of the at most MaxResults
+// survivors. Expansion seeds and neighbor iteration follow the string-space
+// orders, so answers are identical to the pre-interning implementation.
 package banks
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,12 +100,28 @@ func (t Tree) AsConnection() (core.Connection, bool) {
 
 // Signature identifies the tree by its sorted node set; used to deduplicate
 // answers with identical content but different roots.
-func (t Tree) Signature() string {
-	parts := make([]string, len(t.Nodes))
-	for i, n := range t.Nodes {
-		parts[i] = n.String()
+func (t Tree) Signature() string { return signature(t.Nodes) }
+
+// signature renders a sorted node set as its tuple IDs, each as
+// relation.TupleID.String renders it, joined by "|". It is the one renderer
+// of tree signatures, shared by Tree.Signature and root selection.
+func signature(nodes []relation.TupleID) string {
+	size := len(nodes)
+	for _, n := range nodes {
+		size += len(n.Relation) + len(n.Key) + 2
 	}
-	return strings.Join(parts, "|")
+	var b strings.Builder
+	b.Grow(size)
+	for i, n := range nodes {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		b.WriteString(n.Relation)
+		b.WriteByte('[')
+		b.WriteString(n.Key)
+		b.WriteByte(']')
+	}
+	return b.String()
 }
 
 // Engine runs backward expanding search over a database. It is immutable
@@ -228,6 +249,45 @@ func (e *Engine) pathToMatch(ex *expansion, root uint32) []datagraph.Edge {
 // safe.
 func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Options) ([]Tree, error) {
 	applyDefaults(&opts, e.opts)
+	q, err := e.expandAll(ctx, keywords, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer q.release()
+	return e.selectTrees(ctx, q, opts.MaxResults)
+}
+
+// query is one search's state after the keyword expansions: everything root
+// selection and tree construction read. The expansions are pooled; release
+// returns them.
+type query struct {
+	// kwOrder lists the distinct keywords in query order, and expanded holds
+	// their expansions in the same order.
+	kwOrder       []string
+	expanded      []*expansion
+	tupleKeywords map[uint32][]string
+	// roots are the candidate roots, by ascending distance sum and then
+	// string-space tuple order.
+	roots []candidateRoot
+}
+
+// candidateRoot is a tuple reached by every keyword's expansion. weight is
+// its distance sum, an upper bound on the weight of the tree rooted there;
+// maxDist is the largest single distance, a lower bound on it.
+type candidateRoot struct {
+	root            uint32
+	weight, maxDist int32
+}
+
+func (q *query) release() {
+	for _, ex := range q.expanded {
+		putExpansion(ex)
+	}
+}
+
+// expandAll matches the keywords, runs one expansion per distinct keyword and
+// lists the candidate roots.
+func (e *Engine) expandAll(ctx context.Context, keywords []string, opts Options) (*query, error) {
 	if len(keywords) == 0 {
 		return nil, fmt.Errorf("banks: empty keyword query")
 	}
@@ -278,44 +338,28 @@ func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Opti
 		}
 		return nil, err
 	}
-	defer func() {
-		for _, ex := range expanded {
-			putExpansion(ex)
-		}
-	}()
-	expansions := make(map[string]*expansion, len(kwOrder))
-	for i, kw := range kwOrder {
-		expansions[kw] = expanded[i]
-	}
+	q := &query{kwOrder: kwOrder, expanded: expanded, tupleKeywords: tupleKeywords}
 
 	// Candidate roots: tuples reached by every keyword's expansion. Scan the
 	// smallest expansion's distance column and intersect with the others —
 	// array probes, no hashing.
-	smallest := kwOrder[0]
-	for _, kw := range kwOrder[1:] {
-		if expansions[kw].reached < expansions[smallest].reached {
-			smallest = kw
+	smallest := 0
+	for i, ex := range expanded {
+		if ex.reached < expanded[smallest].reached {
+			smallest = i
 		}
 	}
-	type scored struct {
-		root uint32
-		// weight is the distance sum, an upper bound on the tree weight;
-		// maxDist is the largest single distance, a lower bound on it.
-		weight, maxDist int32
-	}
-	var roots []scored
-	smallestDist := expansions[smallest].dist
-	for root, d0 := range smallestDist {
+	for root, d0 := range expanded[smallest].dist {
 		if d0 == unreached {
 			continue
 		}
 		total, maxd := d0, d0
 		ok := true
-		for _, kw := range kwOrder {
-			if kw == smallest {
+		for i, ex := range expanded {
+			if i == smallest {
 				continue
 			}
-			d := expansions[kw].dist[root]
+			d := ex.dist[root]
 			if d == unreached {
 				ok = false
 				break
@@ -326,34 +370,59 @@ func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Opti
 			}
 		}
 		if ok {
-			roots = append(roots, scored{root: uint32(root), weight: total, maxDist: maxd})
+			q.roots = append(q.roots, candidateRoot{root: uint32(root), weight: total, maxDist: maxd})
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		if roots[i].weight != roots[j].weight {
-			return roots[i].weight < roots[j].weight
+	sort.Slice(q.roots, func(i, j int) bool {
+		if q.roots[i].weight != q.roots[j].weight {
+			return q.roots[i].weight < q.roots[j].weight
 		}
-		return tuples.Less(roots[i].root, roots[j].root)
+		return tuples.Less(q.roots[i].root, q.roots[j].root)
 	})
+	return q, nil
+}
 
-	// Build a tree per candidate root, deduplicate by content, and order by
-	// the actual tree weight (shared edges between keyword paths can make a
-	// tree lighter than its root's distance sum suggests). Once MaxResults
-	// distinct trees exist, candidates that cannot beat the current cut are
-	// skipped: a tree holds a root-to-match path per keyword, so its weight
-	// is at least the candidate's largest distance and at most its distance
-	// sum. Both bounds are conservative — ties still build, so the truncated
-	// output is identical to the exhaustive loop's.
-	var out []Tree
-	var kept []int // weights of the distinct trees built so far, sorted
-	seen := make(map[string]bool)
-	for _, cand := range roots {
+// distinctTree is one deduplicated answer tree while it is still dense: the
+// first candidate root that produced it, its weight, its node set (a span of
+// the per-call node arena) and, once rendered, its signature.
+type distinctTree struct {
+	root       uint32
+	weight     int
+	start, end int
+	signature  string
+}
+
+// selectTrees picks the answer trees from the candidate roots. Every root's
+// tree is deduplicated and weighed in the dense space; signatures are
+// rendered once per distinct tree that can still make the cut, and the
+// string-space Tree is built only for the survivors.
+//
+// Trees are deduplicated by content, keeping the first root (in candidate
+// order) that produced each node set, and ordered by the actual tree weight
+// (shared edges between keyword paths can make a tree lighter than its
+// root's distance sum suggests). Once MaxResults distinct trees exist,
+// candidates that cannot beat the current cut are skipped: a tree holds a
+// root-to-match path per keyword, so its weight is at least the candidate's
+// largest distance and at most its distance sum. Both bounds are
+// conservative — ties are still weighed, so the truncated output is
+// identical to the exhaustive loop's.
+func (e *Engine) selectTrees(ctx context.Context, q *query, maxResults int) ([]Tree, error) {
+	var (
+		found []distinctTree
+		arena []uint32 // node sets of found, back to back
+		kept  []int    // weights of found, sorted
+		nodes []uint32 // scratch: the current candidate's node set
+		pairs []uint64 // scratch: the current candidate's edges
+		key   []byte   // scratch: nodes encoded as a seen key
+	)
+	seen := make(map[string]struct{})
+	for _, cand := range q.roots {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if len(kept) >= opts.MaxResults {
-			cut := kept[opts.MaxResults-1]
-			if int(cand.weight) > cut*len(kwOrder) {
+		if len(kept) >= maxResults {
+			cut := kept[maxResults-1]
+			if int(cand.weight) > cut*len(q.expanded) {
 				// Distance sums only grow from here, so every remaining
 				// candidate's lower bound (sum / #keywords) exceeds the cut.
 				break
@@ -362,27 +431,97 @@ func (e *Engine) SearchContext(ctx context.Context, keywords []string, opts Opti
 				continue
 			}
 		}
-		tree := e.buildTree(cand.root, keywords, expansions, tupleKeywords)
-		if seen[tree.Signature()] {
+		nodes, pairs = denseTree(cand.root, q.expanded, nodes[:0], pairs[:0])
+		weight := len(pairs)
+		key = key[:0]
+		for _, n := range nodes {
+			key = binary.LittleEndian.AppendUint32(key, n)
+		}
+		if _, dup := seen[string(key)]; dup {
 			continue
 		}
-		seen[tree.Signature()] = true
-		out = append(out, tree)
-		at := sort.SearchInts(kept, tree.Weight)
+		seen[string(key)] = struct{}{}
+		found = append(found, distinctTree{root: cand.root, weight: weight, start: len(arena), end: len(arena) + len(nodes)})
+		arena = append(arena, nodes...)
+		at := sort.SearchInts(kept, weight)
 		kept = append(kept, 0)
 		copy(kept[at+1:], kept[at:])
-		kept[at] = tree.Weight
+		kept[at] = weight
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight < out[j].Weight
+	if len(found) == 0 {
+		return nil, nil
+	}
+
+	// At least maxResults trees weigh no more than the cut, so a heavier one
+	// can never be returned and needs no signature.
+	if len(kept) > maxResults {
+		cut := kept[maxResults-1]
+		live := found[:0]
+		for _, t := range found {
+			if t.weight <= cut {
+				live = append(live, t)
+			}
 		}
-		return out[i].Signature() < out[j].Signature()
+		found = live
+	}
+	tuples := e.graph.Tuples()
+	var ids []relation.TupleID
+	for i := range found {
+		t := &found[i]
+		ids = ids[:0]
+		for _, n := range arena[t.start:t.end] {
+			ids = append(ids, tuples.ID(n))
+		}
+		slices.SortFunc(ids, compareTupleIDs)
+		t.signature = signature(ids)
+	}
+	sort.Slice(found, func(i, j int) bool {
+		if found[i].weight != found[j].weight {
+			return found[i].weight < found[j].weight
+		}
+		return found[i].signature < found[j].signature
 	})
-	if len(out) > opts.MaxResults {
-		out = out[:opts.MaxResults]
+	if len(found) > maxResults {
+		found = found[:maxResults]
+	}
+	out := make([]Tree, len(found))
+	for i, t := range found {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out[i] = e.buildTree(t.root, q)
 	}
 	return out, nil
+}
+
+// denseTree walks the back pointers of every expansion from root and
+// returns, appended to nodes and pairs, the tree's sorted distinct node set
+// and its sorted distinct edges as (min, max) tuple pairs. The number of
+// pairs is the tree's weight, counted as buildTree counts edges: a pair
+// walked in both directions, or under two foreign keys, is one edge.
+func denseTree(root uint32, expanded []*expansion, nodes []uint32, pairs []uint64) ([]uint32, []uint64) {
+	nodes = append(nodes, root)
+	for _, ex := range expanded {
+		for cur := root; ex.dist[cur] > 0; {
+			next := ex.back[cur].To
+			lo, hi := min(cur, next), max(cur, next)
+			pairs = append(pairs, uint64(lo)<<32|uint64(hi))
+			nodes = append(nodes, next)
+			cur = next
+		}
+	}
+	slices.Sort(nodes)
+	nodes = slices.Compact(nodes)
+	slices.Sort(pairs)
+	return nodes, slices.Compact(pairs)
+}
+
+// compareTupleIDs orders tuple IDs as relation.TupleID.Less does.
+func compareTupleIDs(a, b relation.TupleID) int {
+	if c := strings.Compare(a.Relation, b.Relation); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // Stream runs the backward expanding search and hands each answer tree to
@@ -408,19 +547,21 @@ func (e *Engine) Stream(ctx context.Context, keywords []string, opts Options, yi
 }
 
 // buildTree assembles the string-space answer for one surviving root: the
-// per-keyword back paths, the distinct node and edge sets, and the weight.
-func (e *Engine) buildTree(root uint32, keywords []string, expansions map[string]*expansion, tupleKeywords map[uint32][]string) Tree {
+// per-keyword back paths, the distinct node and edge sets, and the weight. A
+// repeated keyword shares its expansion, and so its path, with its first
+// occurrence, so each distinct keyword is walked once.
+func (e *Engine) buildTree(root uint32, q *query) Tree {
 	tuples := e.graph.Tuples()
 	rootID := tuples.ID(root)
 	t := Tree{
 		Root:         rootID,
-		KeywordPaths: make(map[string]core.Connection, len(keywords)),
+		KeywordPaths: make(map[string]core.Connection, len(q.kwOrder)),
 		Matches:      make(map[relation.TupleID][]string),
 	}
 	nodeSet := map[relation.TupleID]bool{rootID: true}
 	edgeSet := make(map[string]datagraph.Edge)
-	for _, kw := range keywords {
-		edges := e.pathToMatch(expansions[kw], root)
+	for i, kw := range q.kwOrder {
+		edges := e.pathToMatch(q.expanded[i], root)
 		c, err := core.NewConnection(rootID, edges)
 		if err != nil {
 			continue
@@ -441,7 +582,7 @@ func (e *Engine) buildTree(root uint32, keywords []string, expansions map[string
 	for n := range nodeSet {
 		t.Nodes = append(t.Nodes, n)
 		if dense, ok := tuples.Lookup(n); ok {
-			if kws := tupleKeywords[dense]; len(kws) > 0 {
+			if kws := q.tupleKeywords[dense]; len(kws) > 0 {
 				t.Matches[n] = append([]string(nil), kws...)
 			}
 		}

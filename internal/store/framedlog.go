@@ -100,8 +100,10 @@ type framedLog struct {
 	size, records int64
 	// failed is the sticky failure that poisoned the log, nil while healthy.
 	failed error
-	// fsync flushes the log file; tests swap it to inject a failing disk.
+	// fsync flushes the log file and write appends to it; tests swap them
+	// to inject a failing disk.
 	fsync func(*os.File) error
+	write func(*os.File, []byte) (int, error)
 }
 
 // openFramedLog opens (or creates) the log at path: it removes a stale
@@ -115,7 +117,7 @@ func openFramedLog(path string, visit func(off int64, payload []byte) error) (*f
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	l := &framedLog{path: path, f: f, fsync: (*os.File).Sync}
+	l := &framedLog{path: path, f: f, fsync: (*os.File).Sync, write: (*os.File).Write}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		f.Close()
@@ -155,7 +157,7 @@ func (l *framedLog) append(payload []byte) error {
 		return l.failed
 	}
 	frame := appendFrame(nil, payload)
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := l.write(l.f, frame); err != nil {
 		// A short write leaves a torn tail; roll it back eagerly so the
 		// running process stays usable (recovery would also truncate it).
 		// A rollback that fails has poisoned the log, which is all there is

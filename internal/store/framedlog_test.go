@@ -71,6 +71,51 @@ func failNextFsync(l *framedLog) {
 	}
 }
 
+// tearNextWrite makes the log's next write put only the first half of its
+// bytes in the file and then fail, as a full disk or an I/O error mid-write
+// would.
+func tearNextWrite(l *framedLog) {
+	l.write = func(f *os.File, b []byte) (int, error) {
+		l.write = (*os.File).Write
+		n, err := f.Write(b[:len(b)/2])
+		if err != nil {
+			return n, err
+		}
+		return n, errDisk
+	}
+}
+
+// TestTornWriteRollsBack drives the rollback in framedLog.append: a write
+// that fails after putting half a frame in the file must leave the file at
+// the last frame boundary, keep the log healthy for the retry, and leave a
+// directory that replays exactly the acknowledged generations.
+func TestTornWriteRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	appendN(t, s, 1, 2)
+	boundary := s.log.size
+	tearNextWrite(s.log)
+	if err := s.Append(3, testMutation(3)); !errors.Is(err, errDisk) {
+		t.Fatalf("Append with a torn write = %v, want the injected error", err)
+	}
+	info, err := os.Stat(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != boundary || s.log.size != boundary || s.log.failed != nil {
+		t.Fatalf("after a torn write: file %d B, log %d B, failed %v; want %d B and a healthy log",
+			info.Size(), s.log.size, s.log.failed, boundary)
+	}
+	appendN(t, s, 3, 4)
+	s.Close()
+
+	r := mustOpen(t, dir)
+	gens, muts := collectReplay(t, r, 0)
+	if !reflect.DeepEqual(gens, []uint64{1, 2, 3, 4}) || !reflect.DeepEqual(muts[2], testMutation(3)) {
+		t.Fatalf("replay after a torn write = %v, want [1 2 3 4]", gens)
+	}
+}
+
 // TestFsyncFailurePoisonsWAL is the regression test for the orphaned-frame
 // bug: a failed fsync used to leave the frame in the file with the counters
 // un-advanced, so the client's retry appended the same generation behind it
